@@ -14,10 +14,10 @@ from .errors import (ConfigError, DegenerateIndicatrix, DegenerateOffset,
                      DomainError, NotALine, PureDualDivisor, PureDualVector,
                      RuledGeomError, SingularFormula)
 from .lines import Line, common_perpendicular, dual_to_line, line_to_dual
-from .surface import (FrameSample, SurfaceAnalysis, SurfaceSpec, analyze,
-                      dual_curve, dual_invariants, evaluate_surface,
-                      frame_ode_residual, is_developable, reparametrize,
-                      sampled_surface, striction_curve, unit_normalized)
+from .surface import (SurfaceAnalysis, SurfaceSpec, analyze, dual_curve,
+                      dual_invariants, evaluate_surface, frame_ode_residual,
+                      is_developable, reparametrize, sampled_surface,
+                      striction_curve, unit_normalized)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "NotALine", "PureDualDivisor", "PureDualVector", "RuledGeomError",
     "SingularFormula",
     "Line", "common_perpendicular", "dual_to_line", "line_to_dual",
-    "FrameSample", "SurfaceAnalysis", "SurfaceSpec", "analyze", "dual_curve",
+    "SurfaceAnalysis", "SurfaceSpec", "analyze", "dual_curve",
     "dual_invariants", "evaluate_surface", "frame_ode_residual",
     "is_developable", "reparametrize", "sampled_surface", "striction_curve",
     "unit_normalized",

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, Tolerances
-from .errors import DegenerateIndicatrix, DegenerateOffset, RuledGeomError
+from .errors import RuledGeomError
 from .io import (render_offset_report, surface_grid, write_analysis_csv,
                  write_obj)
 from .offsets import OffsetSpec, construct_offset, verify_offset
@@ -145,13 +145,7 @@ def main(argv=None) -> int:
                "mesh": cmd_mesh, "verify": cmd_verify}[args.command]
     try:
         return handler(args)
-    except (DegenerateOffset, DegenerateIndicatrix) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuledGeomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (RuledGeomError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,7 +6,7 @@ digits, LF line endings, fixed column order.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -26,8 +26,16 @@ ANALYSIS_COLUMNS = [
 SAMPLED_COLUMNS = ["u", "ex", "ey", "ez", "px", "py", "pz"]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Rows formatted per write: bounds the tuple and string built per write.
+BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, row_template: str, n_rows: int, block) -> None:
+    """Write n_rows rows, formatting block(start, stop) (rows start..stop-1
+    as a 2-D array) with row_template; '%.17g' % x == format(x, ".17g")."""
+    for start in range(0, n_rows, BLOCK_ROWS):
+        rows = block(start, min(start + BLOCK_ROWS, n_rows))
+        fh.write((row_template * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_analysis_csv(path, analysis: SurfaceAnalysis) -> None:
@@ -42,28 +50,35 @@ def write_analysis_csv(path, analysis: SurfaceAnalysis) -> None:
     ])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(ANALYSIS_COLUMNS) + "\n")
-        for row in cols:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * cols.shape[1]) + "\n", len(cols),
+                    lambda a, b: cols[a:b])
 
 
 def read_sampled_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a sampled-curve surface: u, director xyz, base-point xyz."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != SAMPLED_COLUMNS:
+        header = fh.readline()
+        if not header:
+            raise ConfigError(f"{path}: empty file")
+        if [h.strip() for h in header.split(",")] != SAMPLED_COLUMNS:
             raise ConfigError(
                 f"{path}: expected header {','.join(SAMPLED_COLUMNS)}")
         try:
-            rows = np.array([[float(v) for v in row] for row in reader if row])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # header-only: no data rows
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: non-numeric cell ({exc})") from None
-    if rows.ndim != 2 or rows.shape[1] != 7 or len(rows) < 5:
+    if rows.shape[1] != 7 or len(rows) < 5:
         raise ConfigError(f"{path}: need at least 5 rows of 7 columns")
     return rows[:, 0], rows[:, 1:4], rows[:, 4:7]
+
+
+def _quads(start: int, stop: int, n_v: int) -> np.ndarray:
+    """1-based vertex indices of quads start..stop-1, counter-clockwise."""
+    i, j = np.divmod(np.arange(start, stop), n_v - 1)
+    a = i * n_v + j + 1
+    return np.column_stack([a, a + n_v, a + n_v + 1, a + 1])
 
 
 def write_obj(path, grid: np.ndarray) -> None:
@@ -72,18 +87,12 @@ def write_obj(path, grid: np.ndarray) -> None:
     Vertices are emitted u-major, faces are counter-clockwise quads with
     1-based indices."""
     n_u, n_v, _ = grid.shape
+    verts = grid.reshape(n_u * n_v, 3)
     with open(path, "w", newline="\n") as fh:
-        for i in range(n_u):
-            for j in range(n_v):
-                x, y, z = grid[i, j]
-                fh.write(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
-        for i in range(n_u - 1):
-            for j in range(n_v - 1):
-                a = i * n_v + j + 1
-                b = (i + 1) * n_v + j + 1
-                c = (i + 1) * n_v + j + 2
-                d = i * n_v + j + 2
-                fh.write(f"f {a} {b} {c} {d}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", len(verts),
+                    lambda a, b: verts[a:b])
+        _write_rows(fh, "f %d %d %d %d\n", (n_u - 1) * (n_v - 1),
+                    lambda a, b: _quads(a, b, n_v))
 
 
 def surface_grid(analysis: SurfaceAnalysis, v_range, v_count: int,
@@ -113,11 +122,11 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
                          compare_tol: float) -> tuple[str, bool]:
     """Fixed-format report text; returns (text, all_assertions_passed).
 
-    In theorem mode every deviation is asserted against its tolerance; in
-    constant-angle mode the deviations are informational findings."""
+    In theorem mode every deviation is asserted against its tolerance and
+    a comparison over zero samples fails; in constant-angle mode the
+    deviations are informational findings."""
     info = report.informational
     lines = [f"offset {index}: {describe_offset_spec(spec)}"]
-    ok = True
 
     def verdict(value, tol) -> str:
         nonlocal ok
@@ -130,9 +139,12 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
         ok = False
         return f"FAIL (tol {tol:.1e})"
 
+    vacuous = not info and report.n_valid == 0
+    ok = not vacuous
     lines.append(f"  samples compared: {report.n_valid}/{report.offset_analysis.n}"
                  + ("  [informational: constant-angle offsets need not satisfy"
-                    " the Mannheim condition]" if info else ""))
+                    " the Mannheim condition]" if info else "")
+                 + ("  [FAIL: no sample compared]" if vacuous else ""))
     mr, md = report.mannheim_residual_real, report.mannheim_residual_dual
     lines.append(f"  mannheim residual |g~ - t1~|: real={mr:.3e} "
                  f"[{verdict(mr, mannheim_real_tol)}] dual={md:.3e} "

@@ -4,6 +4,9 @@ An oriented line through point p with unit direction d maps to the dual
 unit vector (d, p x d); the moment p x d does not depend on the choice of
 p on the line.  The inverse map recovers the line with foot point d x m,
 the point of the line nearest the origin.
+
+Every function takes one line ((3,) fields) or a batch of N lines ((N, 3)
+fields); per-line scalars are Python floats for one line, (N,) arrays else.
 """
 
 from __future__ import annotations
@@ -20,9 +23,25 @@ from .errors import NotALine
 LINE_CONSTRAINT_TOL = 1e-9
 
 
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """<a, b> over the last axis, bitwise equal to the 1-D `a @ b` of
+    each row (a stacked matmul reduces each row like a 1-D dot)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norm(a: np.ndarray):
+    """|a| over the last axis, bitwise equal to 1-D np.linalg.norm."""
+    return np.sqrt(row_dot(a, a))
+
+
+def _scalar(x):
+    """One line's scalar as a Python float; a batch's as an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 @dataclass(frozen=True)
 class Line:
-    """Oriented line: a point on it and a unit direction."""
+    """Oriented line, or batch of lines: a point on it, a unit direction."""
 
     point: np.ndarray
     direction: np.ndarray
@@ -30,17 +49,20 @@ class Line:
     def __post_init__(self):
         p = np.asarray(self.point, dtype=float)
         d = np.asarray(self.direction, dtype=float)
-        n = np.linalg.norm(d)
-        if n < 1e-12:
+        n = _row_norm(d)[..., None]
+        if np.any(n < 1e-12):
             raise ValueError("line direction must be nonzero")
-        if abs(n - 1.0) > 1e-12:  # keep already-unit directions bitwise
-            d = d / n
+        d = np.where(np.abs(n - 1.0) > 1e-12, d / n, d)  # unit: keep bits
         object.__setattr__(self, "point", p)
         object.__setattr__(self, "direction", d)
 
-    def distance_to_point(self, q) -> float:
+    def __getitem__(self, rows) -> "Line":
+        """The lines of a batch selected by `rows` (an index or slice)."""
+        return Line(self.point[rows], self.direction[rows])
+
+    def distance_to_point(self, q):
         q = np.asarray(q, dtype=float)
-        return float(np.linalg.norm(np.cross(q - self.point, self.direction)))
+        return _scalar(_row_norm(np.cross(q - self.point, self.direction)))
 
 
 def line_to_dual(line: Line) -> DualVector:
@@ -51,16 +73,17 @@ def line_to_dual(line: Line) -> DualVector:
 def dual_to_line(v: DualVector, tol: float = LINE_CONSTRAINT_TOL) -> Line:
     """Recover the oriented line of a dual unit vector.
 
-    Raises NotALine unless <a,a> = 1 and <a,a*> = 0 within `tol`.  The
-    returned point is the foot of the origin perpendicular, a x a*.
+    Raises NotALine unless <a,a> = 1 and <a,a*> = 0 within `tol` on every
+    row (a NaN defect fails), reporting the worst defects.  The returned
+    point is the foot of the origin perpendicular, a x a*.
     """
     a, m = v.real, v.dual
-    unit_defect = abs(float(a @ a) - 1.0)
-    moment_defect = abs(float(a @ m))
-    if unit_defect > tol or moment_defect > tol:
+    unit_defect = np.abs(row_dot(a, a) - 1.0)
+    moment_defect = np.abs(row_dot(a, m))
+    if not np.all((unit_defect <= tol) & (moment_defect <= tol)):
         raise NotALine(
-            f"constraint violation: |<a,a>-1|={unit_defect:.3e}, "
-            f"|<a,a*>|={moment_defect:.3e} (tol {tol:.1e})")
+            f"constraint violation: |<a,a>-1|={np.max(unit_defect):.3e}, "
+            f"|<a,a*>|={np.max(moment_defect):.3e} (tol {tol:.1e})")
     return Line(point=np.cross(a, m), direction=a)
 
 
@@ -69,29 +92,27 @@ def common_perpendicular(l1: Line, l2: Line):
 
     Returns (distance, (foot_on_l1, foot_on_l2)).  For parallel lines the
     distance is the point-to-line distance and the feet are one valid
-    perpendicular pair.
+    perpendicular pair: l1's point and its projection onto l2.
     """
     e1, e2 = l1.direction, l2.direction
     w = l1.point - l2.point
-    b = float(e1 @ e2)
+    b = row_dot(e1, e2)
     denom = 1.0 - b * b
-    if denom < 1e-12:  # parallel: project l1.point onto l2
-        f1 = l1.point
-        f2 = l2.point + float((l1.point - l2.point) @ e2) * e2
-        return float(np.linalg.norm(f1 - f2)), (f1, f2)
-    d = float(e1 @ w)
-    e = float(e2 @ w)
+    parallel = denom < 1e-12
+    denom = np.where(parallel, 1.0, denom)
+    d = row_dot(e1, w)
+    e = row_dot(e2, w)
     t1 = (b * e - d) / denom
-    t2 = (e - b * d) / denom
-    f1 = l1.point + t1 * e1
-    f2 = l2.point + t2 * e2
-    return float(np.linalg.norm(f1 - f2)), (f1, f2)
+    t2 = np.where(parallel, e, (e - b * d) / denom)
+    f1 = np.where(parallel[..., None], l1.point, l1.point + t1[..., None] * e1)
+    f2 = l2.point + t2[..., None] * e2
+    return _scalar(_row_norm(f1 - f2)), (f1, f2)
 
 
-def sample_lines(rng: np.random.Generator, count: int) -> list[Line]:
-    """Random oriented lines for property suites: directions uniform on the
-    sphere, points uniform in [-10, 10]^3."""
+def sample_lines(rng: np.random.Generator, count: int) -> Line:
+    """A batch of random oriented lines for property suites: directions
+    uniform on the sphere, points uniform in [-10, 10]^3."""
     dirs = rng.normal(size=(count, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = rng.uniform(-10.0, 10.0, size=(count, 3))
-    return [Line(point=p, direction=d) for p, d in zip(pts, dirs)]
+    return Line(point=pts, direction=dirs)

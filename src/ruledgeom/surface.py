@@ -69,23 +69,6 @@ class SurfaceSpec:
                     self.base_d1, self.base_d2))
 
 
-@dataclass(frozen=True)
-class FrameSample:
-    """One station of an analyzed surface."""
-
-    u: float
-    s: float
-    s_star: float
-    c: np.ndarray
-    e: np.ndarray
-    t: np.ndarray
-    g: np.ndarray
-    Delta: float
-    delta: float
-    gamma: float
-    gamma_dual: float
-
-
 class Reparametrization:
     """Monotone map between the native parameter u and the indicatrix
     arc length s, with derivative-consistent inverses."""
@@ -168,18 +151,6 @@ class SurfaceAnalysis:
     @property
     def n(self) -> int:
         return len(self.u)
-
-    def sample(self, i: int) -> FrameSample:
-        return FrameSample(
-            u=float(self.u[i]), s=float(self.s[i]),
-            s_star=float(self.s_star[i]), c=self.c[i], e=self.e[i],
-            t=self.t[i], g=self.g[i], Delta=float(self.Delta[i]),
-            delta=float(self.delta[i]), gamma=float(self.gamma[i]),
-            gamma_dual=float(self.gamma_dual[i]))
-
-    @property
-    def samples(self) -> list[FrameSample]:
-        return [self.sample(i) for i in range(self.n)]
 
     def gamma_bar(self) -> DualScalar:
         return DualScalar(self.gamma, self.gamma_dual)

@@ -19,7 +19,7 @@ from .config import Tolerances
 from .dual import (DualScalar, DualVector, dual_angle, dual_cross, dual_dot,
                    dual_mul, dual_norm, dual_normalize, lift)
 from .lines import (common_perpendicular, dual_to_line, line_to_dual,
-                    sample_lines)
+                    row_dot, sample_lines)
 from .offsets import (OffsetSpec, developability_conditions, offset_angle,
                       verify_offset)
 from .surface import SurfaceSpec, analyze, frame_ode_residual
@@ -108,25 +108,19 @@ def suite_line_correspondence(tol: Tolerances, seed: int) -> list[Check]:
     seeded random lines."""
     rng = np.random.default_rng(seed + 1)
     lines = sample_lines(rng, 1000)
-    duals = [line_to_dual(l) for l in lines]
+    duals = line_to_dual(lines)
+    a, m = duals.real, duals.dual
 
-    constraint = max(
-        max(abs(float(v.real @ v.real) - 1.0), abs(float(v.real @ v.dual)))
-        for v in duals)
-    direction = 0.0
-    foot = 0.0
-    for l, v in zip(lines, duals):
-        back = dual_to_line(v)
-        direction = max(direction,
-                        float(np.max(np.abs(back.direction - l.direction))))
-        foot = max(foot, l.distance_to_point(back.point))
+    constraint = max(np.max(np.abs(row_dot(a, a) - 1.0)),
+                     np.max(np.abs(row_dot(a, m))))
+    back = dual_to_line(duals)
+    direction = np.max(np.abs(back.direction - lines.direction))
+    foot = np.max(lines.distance_to_point(back.point))
 
-    pair_dev = 0.0
-    for l1, l2, v1, v2 in zip(lines[0::2], lines[1::2],
-                              duals[0::2], duals[1::2]):
-        dist, _ = common_perpendicular(l1, l2)
-        ang = dual_angle(v1, v2)
-        pair_dev = max(pair_dev, abs(abs(ang.theta_star) - dist))
+    dist, _ = common_perpendicular(lines[0::2], lines[1::2])
+    ang = dual_angle(DualVector(a[0::2], m[0::2]),
+                     DualVector(a[1::2], m[1::2]))
+    pair_dev = np.max(np.abs(np.abs(ang.theta_star) - dist))
 
     return [
         _c("lines: |<a,a>-1| and |<a,a*>| of the line image",

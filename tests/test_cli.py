@@ -135,6 +135,21 @@ def test_offset_theorem_mode_failure_exits_2(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_offset_theorem_mode_with_no_compared_sample_exits_2(tmp_path, capsys):
+    # theta = -s + c stays outside (0, pi) everywhere, so every sample lies
+    # in a guard band and nothing is compared
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        surface={"builtin": "cone", "alpha": np.pi / 4},
+        param_range=[0.0, 2.5 / np.sin(np.pi / 4)], sample_count=501,
+        offsets=[{"mode": "theorem_consistent", "c": 2.8 + 2 * np.pi,
+                  "c_star": 0.7}])
+    assert main(["offset", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "  samples compared: 0/501  [FAIL: no sample compared]\n" in out
+    assert out.count("FAIL") == 1
+
+
 def test_offset_without_offsets_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["offset", "--config", str(cfg), "--out", str(tmp_path)]) == 1

@@ -180,10 +180,10 @@ def test_arc_length_strictly_increases():
 
 def test_sample_view():
     a = analyze(saddle(n=101))
-    mid = a.sample(50)
-    assert mid.u == pytest.approx(0.0)
-    assert mid.gamma_dual == pytest.approx(mid.delta - mid.gamma * mid.Delta)
-    assert len(a.samples) == 101
+    assert a.n == len(a.u) == len(a.gamma_dual) == 101
+    assert a.u[50] == pytest.approx(0.0)
+    assert a.gamma_dual[50] == pytest.approx(
+        a.delta[50] - a.gamma[50] * a.Delta[50])
 
 
 # --- frame evolution residuals ---
