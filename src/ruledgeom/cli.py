@@ -59,10 +59,13 @@ def _tolerance_overrides(pairs: list[str]) -> dict:
     out = {}
     for item in pairs:
         name, sep, value = item.partition("=")
-        if not sep or not name:
+        try:
+            if not sep or not name:
+                raise ValueError
+            out[name] = float(value)
+        except ValueError:
             raise RuledGeomError(
-                f"--tolerance expects NAME=VALUE, got {item!r}")
-        out[name] = value
+                f"--tolerance expects NAME=NUMBER, got {item!r}") from None
     return out
 
 

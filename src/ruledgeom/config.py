@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,15 @@ from .catalog import builtin_surface
 from .errors import ConfigError
 from .io import read_sampled_csv
 from .surface import SurfaceSpec, sampled_surface
+
+
+def _finite_number(value, what: str) -> float:
+    """`value` as a float; ConfigError unless it is a finite number (a bool,
+    a string, null, NaN or +-Infinity is not)."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,13 +74,8 @@ class Tolerances:
             raise ConfigError(
                 f"unknown tolerance name(s) {sorted(bad)}; "
                 f"known: {sorted(names)}")
-        vals = {}
-        for k, v in updates.items():
-            try:
-                vals[k] = float(v)
-            except (TypeError, ValueError):
-                raise ConfigError(f"tolerance {k!r} must be a number") from None
-        return dataclasses.replace(self, **vals)
+        return dataclasses.replace(self, **{
+            k: _finite_number(v, f"tolerance {k!r}") for k, v in updates.items()})
 
 
 _TOP_KEYS = {"surface", "param_range", "sample_count", "offsets", "seed",
@@ -108,11 +113,23 @@ class RunConfig:
         if ("builtin" in surface) == ("sampled_csv" in surface):
             raise ConfigError(
                 "surface must name exactly one of 'builtin' or 'sampled_csv'")
+        kind = "builtin" if "builtin" in surface else "sampled_csv"
+        if not isinstance(surface[kind], str):
+            raise ConfigError(f"surface {kind!r} must be a string")
+        if kind == "sampled_csv":
+            extra = (set(surface) - {kind}) | (
+                set(doc) & {"param_range", "sample_count"})
+            if extra:
+                raise ConfigError(
+                    f"sampled_csv surfaces take no parameters {sorted(extra)}: "
+                    "the CSV fixes the grid")
+        for k in set(surface) - {kind}:
+            _finite_number(surface[k], f"surface {k!r}")
 
         rng = doc.get("param_range", [-1.0, 1.0])
         if (not isinstance(rng, (list, tuple)) or len(rng) != 2):
             raise ConfigError("param_range must be [min, max]")
-        lo, hi = float(rng[0]), float(rng[1])
+        lo, hi = (_finite_number(x, "param_range entry") for x in rng)
         if not lo < hi:
             raise ConfigError("param_range must satisfy min < max")
 
@@ -148,7 +165,8 @@ class RunConfig:
                 raise ConfigError(
                     f"offsets[{i}]: key(s) {sorted(stray)} do not apply to "
                     f"mode {mode!r}")
-            parsed.append({k: (v if k == "mode" else float(v))
+            parsed.append({k: (v if k == "mode" else
+                               _finite_number(v, f"offsets[{i}].{k}"))
                            for k, v in off.items()})
 
         seed = doc.get("seed", 42)
@@ -182,10 +200,6 @@ class RunConfig:
     def build_surface(self) -> SurfaceSpec:
         s = dict(self.surface)
         if "sampled_csv" in s:
-            extra = set(s) - {"sampled_csv"}
-            if extra:
-                raise ConfigError(
-                    f"sampled_csv surfaces take no parameters {sorted(extra)}")
             u, e, p = read_sampled_csv(s["sampled_csv"])
             return sampled_surface(u, e, p, name=f"sampled:{s['sampled_csv']}")
         name = s.pop("builtin")

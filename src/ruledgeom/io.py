@@ -122,9 +122,9 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
                          compare_tol: float) -> tuple[str, bool]:
     """Fixed-format report text; returns (text, all_assertions_passed).
 
-    In theorem mode every deviation is asserted against its tolerance and
-    a comparison over zero samples fails; in constant-angle mode the
-    deviations are informational findings."""
+    In theorem mode every deviation is asserted against its tolerance, and
+    a row, or the whole report, that compares zero samples fails; in
+    constant-angle mode the deviations are informational findings."""
     info = report.informational
     lines = [f"offset {index}: {describe_offset_spec(spec)}"]
 
@@ -133,7 +133,10 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
         if info:
             return "info"
         if value is None:
-            return "n/a(guard)"
+            if vacuous:   # already failed on the "samples compared" line
+                return "n/a(guard)"
+            ok = False
+            return "FAIL: no sample compared"
         if value <= tol:
             return f"ok (tol {tol:.1e})"
         ok = False

@@ -235,12 +235,6 @@ class OffsetReport:
     offset_developable: tuple[bool, float]
     n_valid: int
 
-    def row(self, name: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def _max_at(arr, mask) -> Optional[float]:
     if not np.any(mask):

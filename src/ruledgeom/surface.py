@@ -4,7 +4,7 @@ A ruled surface phi(u, v) = c(u) + v*e(u) is described by a unit director
 field e(u) (its spherical indicatrix) and a base curve.  The pipeline
 
   1. samples director and base on a uniform grid,
-  2. reparametrizes by the indicatrix arc length s (quadrature),
+  2. integrates the indicatrix arc length s (quadrature),
   3. replaces the base curve by the striction curve c (the unique base
      with <c', e'> = 0),
   4. builds the geodesic frame {e, t, g} with t = de/ds and g = e x t,
@@ -42,8 +42,8 @@ DIRECTOR_UNIT_TOL = 1e-9
 class SurfaceSpec:
     """Parametric description of a ruled surface.
 
-    director/base map a 1-D array of parameters to (n, 3) arrays (scalar
-    inputs are also accepted).  The *_d1 / *_d2 entries are optional
+    director/base must be vectorized: they map a 1-D array of n parameters
+    to an (n, 3) array.  The *_d1 / *_d2 entries are optional
     analytic derivative oracles with the same signature; when absent the
     engine falls back to finite differences on the sample grid.  `grid`
     pins the surface to a fixed uniform sample grid (used for surfaces
@@ -70,32 +70,20 @@ class SurfaceSpec:
 
 
 class Reparametrization:
-    """Monotone map between the native parameter u and the indicatrix
-    arc length s, with derivative-consistent inverses."""
+    """Monotone Hermite maps between the native parameter u and the
+    indicatrix arc length s; they back the chain-rule consistency check."""
 
     def __init__(self, u: np.ndarray, s: np.ndarray, sigma: np.ndarray):
         self.u = u
-        self.s = s
-        self.sigma = sigma
         self._s_of_u = CubicHermiteSpline(u, s, sigma)
         self._u_of_s = CubicHermiteSpline(s, u, 1.0 / sigma)
-
-    def s_of_u(self, u):
-        return self._s_of_u(u)
-
-    def u_of_s(self, s):
-        return self._u_of_s(s)
-
-    def ds_du(self, u):
-        return self._s_of_u.derivative()(u)
-
-    def du_ds(self, s):
-        return self._u_of_s.derivative()(s)
 
     def chain_rule_residual(self) -> float:
         """max |ds/du * du/ds - 1| over nodes and interval midpoints."""
         probe = np.concatenate([self.u, 0.5 * (self.u[1:] + self.u[:-1])])
-        r = self.ds_du(probe) * self.du_ds(self.s_of_u(probe)) - 1.0
+        ds_du = self._s_of_u.derivative()
+        du_ds = self._u_of_s.derivative()
+        r = ds_du(probe) * du_ds(self._s_of_u(probe)) - 1.0
         return float(np.max(np.abs(r)))
 
 
@@ -120,9 +108,9 @@ class DualCurvatureInvariants:
         return float(max(np.max(r) for r in res))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceAnalysis:
-    """Full per-sample state of an analyzed ruled surface."""
+    """Full per-sample state of an analyzed ruled surface (immutable)."""
 
     spec: SurfaceSpec
     u: np.ndarray
@@ -143,10 +131,6 @@ class SurfaceAnalysis:
     e_u: np.ndarray = field(repr=False, default=None)
     e_uu: np.ndarray = field(repr=False, default=None)
     c_u: np.ndarray = field(repr=False, default=None)
-    _invariants: Optional[DualCurvatureInvariants] = field(
-        repr=False, default=None)
-    _c_spline: Optional[CubicSpline] = field(repr=False, default=None)
-    _e_spline: Optional[CubicSpline] = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -163,34 +147,18 @@ class SurfaceAnalysis:
                 DualVector(self.g, np.cross(self.c, self.g)))
 
     def invariants(self) -> DualCurvatureInvariants:
-        if self._invariants is None:
-            self._invariants = dual_invariants(self)
-        return self._invariants
-
-    def point(self, u, v):
-        """Surface point c(u) + v*e(u); u interpolated between samples."""
-        u_arr = np.asarray(u, dtype=float)
-        lo, hi = float(self.u[0]), float(self.u[-1])
-        if np.any(u_arr < lo - 1e-12) or np.any(u_arr > hi + 1e-12):
-            raise ValueError(f"parameter {u} outside [{lo}, {hi}]")
-        if self._c_spline is None:
-            self._c_spline = CubicSpline(self.u, self.c, axis=0)
-            self._e_spline = CubicSpline(self.u, self.e, axis=0)
-        v_arr = np.asarray(v, dtype=float)
-        if v_arr.ndim:
-            v_arr = v_arr[..., None]
-        return self._c_spline(u_arr) + v_arr * self._e_spline(u_arr)
+        """Dual curvature invariants, computed afresh on every call."""
+        return dual_invariants(self)
 
 
 def _eval_curve(fn: Callable, u: np.ndarray) -> np.ndarray:
-    """Evaluate a curve callable on an array, tolerating scalar-only fns."""
-    try:
-        out = np.asarray(fn(u), dtype=float)
-        if out.shape == u.shape + (3,):
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([fn(x) for x in u], dtype=float)
+    """Evaluate a vectorized curve callable: (n,) parameters -> (n, 3)."""
+    out = np.asarray(fn(u), dtype=float)
+    if out.shape != u.shape + (3,):
+        raise ValueError(
+            f"curve callables must be vectorized, mapping shape {u.shape} to "
+            f"{u.shape + (3,)}; got shape {out.shape}")
+    return out
 
 
 def _fd1(y: np.ndarray, h: float) -> np.ndarray:
@@ -222,8 +190,10 @@ def _grid_of(spec: SurfaceSpec) -> tuple[np.ndarray, float]:
     return u, float(u[1] - u[0])
 
 
-def _directors(spec: SurfaceSpec, u: np.ndarray, h: float):
-    """Director samples with first/second parameter derivatives."""
+def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
+    """Run the full pipeline: reparametrization, striction curve, geodesic
+    frame and invariants on the sample grid."""
+    u, h = _grid_of(spec)
     e = _eval_curve(spec.director, u)
     unit_defect = np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0))
     if unit_defect > DIRECTOR_UNIT_TOL:
@@ -233,75 +203,6 @@ def _directors(spec: SurfaceSpec, u: np.ndarray, h: float):
            else _fd1(e, h))
     e_uu = (_eval_curve(spec.director_d2, u) if spec.director_d2 is not None
             else _fd1(e_u, h))
-    return e, e_u, e_uu
-
-
-def reparametrize(spec: SurfaceSpec) -> Reparametrization:
-    """Arc-length map of the spherical indicatrix, s(u) = int |e'(u)| du."""
-    u, h = _grid_of(spec)
-    _, e_u, _ = _directors(spec, u, h)
-    sigma = np.linalg.norm(e_u, axis=1)
-    if np.min(sigma) < DEGENERATE_SIGMA:
-        raise DegenerateIndicatrix(
-            f"indicatrix speed falls to {np.min(sigma):.3e}: the director "
-            "is (locally) constant")
-    s = cumulative_simpson(sigma, x=u, initial=0.0)
-    return Reparametrization(u, s, sigma)
-
-
-def striction_curve(spec: SurfaceSpec) -> Callable:
-    """Pointwise striction curve c(u) = p(u) + lambda(u) e(u) with
-    lambda = -<p', e'>/<e', e'>; the unique base with <c', e'> = 0."""
-    lo, hi = spec.param_range
-    h_fd = 1e-6 * max(abs(hi - lo), 1.0)
-
-    def _c(u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        uu = np.atleast_1d(u)
-        e = _eval_curve(spec.director, uu)
-        if spec.director_d1 is not None:
-            e_u = _eval_curve(spec.director_d1, uu)
-        else:
-            e_u = (_eval_curve(spec.director, uu + h_fd)
-                   - _eval_curve(spec.director, uu - h_fd)) / (2.0 * h_fd)
-        if spec.base_d1 is not None:
-            p_u = _eval_curve(spec.base_d1, uu)
-        else:
-            p_u = (_eval_curve(spec.base, uu + h_fd)
-                   - _eval_curve(spec.base, uu - h_fd)) / (2.0 * h_fd)
-        sig2 = np.sum(e_u * e_u, axis=1)
-        if np.min(sig2) < DEGENERATE_SIGMA ** 2:
-            raise DegenerateIndicatrix("director is (locally) constant")
-        lam = -np.sum(p_u * e_u, axis=1) / sig2
-        c = _eval_curve(spec.base, uu) + lam[:, None] * e
-        return c[0] if scalar else c
-
-    return _c
-
-
-def dual_curve(spec: SurfaceSpec) -> Callable:
-    """The dual spherical curve of the surface: u -> (e, c x e)."""
-    c_of = striction_curve(spec)
-
-    def _k(u):
-        u = np.asarray(u, dtype=float)
-        uu = np.atleast_1d(u)
-        e = _eval_curve(spec.director, uu)
-        c = np.atleast_2d(c_of(uu))
-        m = np.cross(c, e)
-        if u.ndim == 0:
-            return DualVector(e[0], m[0])
-        return DualVector(e, m)
-
-    return _k
-
-
-def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
-    """Run the full pipeline: reparametrization, striction curve, geodesic
-    frame and invariants on the sample grid."""
-    u, h = _grid_of(spec)
-    e, e_u, e_uu = _directors(spec, u, h)
 
     sigma = np.linalg.norm(e_u, axis=1)
     if np.min(sigma) < DEGENERATE_SIGMA:
@@ -448,19 +349,6 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
         dual_max=max(per["e_dual"], per["t_dual"], per["g_dual"]),
         orthonormality_max=float(ortho),
         per_equation=per)
-
-
-def is_developable(analysis: SurfaceAnalysis,
-                   tol: float = 1e-7) -> tuple[bool, float]:
-    """Classify by the distribution parameter: developable iff
-    max |Delta| < tol.  Returns (flag, max |Delta|)."""
-    m = float(np.max(np.abs(analysis.Delta)))
-    return m < tol, m
-
-
-def evaluate_surface(analysis: SurfaceAnalysis, u, v):
-    """Point on the analyzed surface: c(u) + v*e(u)."""
-    return analysis.point(u, v)
 
 
 def sampled_surface(u: np.ndarray, directors: np.ndarray,

@@ -295,15 +295,15 @@ def suite_pipeline(tol: Tolerances) -> list[Check]:
     (no-oracle) path, and invariance of the analysis under moving the
     base curve along the rulings."""
     out = []
-    surfaces = [
-        ("saddle", _saddle()),
-        ("cone", catalog.cone(np.pi / 4.0, (0.0, 3.0), 2001)),
-        ("hyperboloid", catalog.small_circle(np.pi / 6.0, 1.0, (0.0, 5.0), 2001)),
-        ("helicoid", catalog.helicoid(0.4, (0.0, 2.0 * np.pi), 2001)),
-    ]
-    for label, spec in surfaces:
-        out.extend(_pipeline_checks(label, analyze(spec), tol,
-                                    tol.frame_ode_analytic))
+    analyses = {
+        "saddle": analyze(_saddle()),
+        "cone": analyze(catalog.cone(np.pi / 4.0, (0.0, 3.0), 2001)),
+        "hyperboloid": analyze(
+            catalog.small_circle(np.pi / 6.0, 1.0, (0.0, 5.0), 2001)),
+        "helicoid": analyze(catalog.helicoid(0.4, (0.0, 2.0 * np.pi), 2001)),
+    }
+    for label, a in analyses.items():
+        out.extend(_pipeline_checks(label, a, tol, tol.frame_ode_analytic))
 
     sampled = _saddle()
     sampled = SurfaceSpec(director=sampled.director, base=sampled.base,
@@ -317,7 +317,7 @@ def suite_pipeline(tol: Tolerances) -> list[Check]:
     out.append(_c("saddle (no oracles): frame evolution residual (dual)",
                   ode.dual_max, tol.frame_ode_sampled))
 
-    base = analyze(_saddle())
+    base = analyses["saddle"]
     shifted = _shifted_base_saddle()
     b = analyze(shifted)
     inv_dev = max(float(np.max(np.abs(b.c - base.c))),

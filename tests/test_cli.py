@@ -88,6 +88,43 @@ def test_unknown_tolerance_exits_1(tmp_path, capsys):
                  "--tolerance", "no_such=1"]) == 1
 
 
+INF, NAN = float("inf"), float("nan")
+OFFSET = {"mode": "constant_angle", "theta": np.pi / 4, "theta_star": 2 * SQ2}
+
+
+@pytest.mark.parametrize("overrides, argv, message", [
+    ({"param_range": [None, 1]}, [], "param_range entry"),
+    ({"param_range": [0, INF]}, [], "param_range entry"),
+    ({"offsets": [{"mode": "theorem_consistent", "c": None, "c_star": 0.7}]},
+     [], "offsets[0].c "),
+    ({"offsets": [{"mode": "theorem_consistent", "c": INF, "c_star": 0.7}]},
+     [], "offsets[0].c "),
+    ({"surface": {"builtin": "helicoid", "pitch": None}}, [],
+     "surface 'pitch'"),
+    ({"surface": {"builtin": "cone", "alpha": "0.7"}}, [], "surface 'alpha'"),
+    ({"tolerances": {"theorem_compare": NAN}}, [], "tolerance 'theorem_compare'"),
+    ({"tolerances": {"theorem_compare": INF}}, [], "tolerance 'theorem_compare'"),
+    ({}, ["--tolerance", "theorem_compare=inf"], "tolerance 'theorem_compare'"),
+    ({}, ["--tolerance", "theorem_compare=nan"], "tolerance 'theorem_compare'"),
+    ({}, ["--tolerance", "theorem_compare=abc"], "NAME=NUMBER"),
+    ({"surface": {"sampled_csv": "s.csv"}, "param_range": [0, 1]}, [],
+     "sampled_csv surfaces take no parameters ['param_range']"),
+    ({"surface": {"sampled_csv": "s.csv"}, "sample_count": 101}, [],
+     "sampled_csv surfaces take no parameters ['sample_count']"),
+    ({"surface": {"sampled_csv": 3}}, [], "'sampled_csv' must be a string"),
+])
+def test_bad_config_value_exits_1(tmp_path, capsys, overrides, argv, message):
+    doc = {"surface": {"builtin": "hyperbolic_paraboloid"}, "offsets": [OFFSET]}
+    doc.update(overrides)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))      # NaN/Infinity as json.loads reads them
+    assert main(["offset", "--config", str(cfg), "--out", str(tmp_path)]
+                + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # --- offset ---
 
 def test_offset_emits_catalog_striction_lines(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Mannheim offsets: construction, predictions, independent recheck."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ruledgeom import catalog
 from ruledgeom.dual import DualScalar, DualVector, dual_angle, dual_cos, dual_mul, dual_sin
 from ruledgeom.errors import DegenerateOffset, SingularFormula
-from ruledgeom.offsets import (OffsetSpec, construct_offset,
+from ruledgeom.io import render_offset_report
+from ruledgeom.offsets import (ComparisonRow, OffsetSpec, construct_offset,
                                developability_conditions, offset_angle,
                                predicted_invariants, verify_offset)
 from ruledgeom.surface import analyze
@@ -191,6 +194,31 @@ def test_offset_angle_law_along_theorem_offset():
     assert np.max(np.abs(np.diff(th) / ds + 1.0)) < 1e-6
     dual_part = (np.diff(ths) * ds - np.diff(th) * dss) / (ds * ds)
     assert np.max(np.abs(dual_part)) < 1e-6
+
+
+def test_report_fails_a_theorem_row_that_compares_no_sample():
+    spec = OffsetSpec.theorem(2.8, 0.7)
+    rep = verify_offset(cone_analysis(), spec)
+    text, ok = render_offset_report(0, spec, rep, 1e-4, 1e-3, 1e-3)
+    assert ok and "FAIL" not in text
+    # the same report with the Delta1 row excluded entirely by the guards
+    rows = [ComparisonRow(r.name, None, 0, "no samples outside guard bands")
+            if r.name == "Delta1" else r for r in rep.rows]
+    excluded = dataclasses.replace(rep, rows=rows)
+    text2, ok2 = render_offset_report(0, spec, excluded, 1e-4, 1e-3, 1e-3)
+    assert not ok2
+    assert ("    Delta1                         n/a(guard)  "
+            "[FAIL: no sample compared]  no samples outside guard bands\n"
+            in text2)
+    assert text2.count("FAIL") == 1
+    # only that line differs
+    diff = [(x, y) for x, y in zip(text.splitlines(), text2.splitlines())
+            if x != y]
+    assert len(diff) == 1 and diff[0][1].split()[0] == "Delta1"
+    # constant-angle rows stay informational
+    info = dataclasses.replace(excluded, informational=True)
+    text3, ok3 = render_offset_report(0, spec, info, 1e-4, 1e-3, 1e-3)
+    assert ok3 and "FAIL" not in text3
 
 
 def test_identity_offset_rejected():

@@ -11,16 +11,17 @@ Closed forms used below (derived by direct differentiation):
 * helicoid pitch p: striction = axis, gamma = delta = 0, Delta = p.
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from ruledgeom import catalog
 from ruledgeom.errors import DegenerateIndicatrix
-from ruledgeom.surface import (SurfaceSpec, analyze, dual_curve,
-                               dual_invariants, evaluate_surface,
-                               frame_ode_residual, is_developable,
-                               reparametrize, sampled_surface,
-                               striction_curve)
+from ruledgeom.io import surface_grid
+from ruledgeom.offsets import OffsetSpec, verify_offset
+from ruledgeom.surface import (SurfaceSpec, analyze, dual_invariants,
+                               frame_ode_residual, sampled_surface)
 
 SQ2 = np.sqrt(2.0)
 
@@ -45,9 +46,9 @@ def test_great_circle_is_unit_speed():
             axis=-1),
         base=lambda u: np.zeros(np.asarray(u, float).shape + (3,)),
         param_range=(0.0, 2.0), sample_count=501)
-    rep = reparametrize(spec)
-    assert np.max(np.abs(rep.s - rep.u)) < 1e-10
-    assert np.max(np.abs(rep.sigma - 1.0)) < 1e-12
+    a = analyze(spec)
+    assert np.max(np.abs(a.s - a.u)) < 1e-10
+    assert np.max(np.abs(a.sigma - 1.0)) < 1e-12
 
 
 def test_great_circle_sampled_close_to_unit_speed():
@@ -58,13 +59,14 @@ def test_great_circle_sampled_close_to_unit_speed():
             axis=-1),
         base=lambda u: np.zeros(np.asarray(u, float).shape + (3,)),
         param_range=(0.0, 2.0), sample_count=501)
-    rep = reparametrize(spec)
-    assert np.max(np.abs(rep.s - rep.u)) < 1e-4
+    a = analyze(spec)
+    assert np.max(np.abs(a.s - a.u)) < 1e-4
 
 
 def test_saddle_speed_at_center():
-    rep = reparametrize(saddle())
-    assert abs(rep.ds_du(0.0) - SQ2) < 1e-12
+    a = analyze(saddle())
+    assert a.u[a.n // 2] == 0.0
+    assert abs(a.sigma[a.n // 2] - SQ2) < 1e-12
 
 
 def test_constant_director_degenerates():
@@ -74,69 +76,65 @@ def test_constant_director_degenerates():
         base=lambda u: np.zeros(np.asarray(u, float).shape + (3,)),
         param_range=(0.0, 1.0), sample_count=101)
     with pytest.raises(DegenerateIndicatrix):
-        reparametrize(spec)
-    with pytest.raises(DegenerateIndicatrix):
         analyze(spec)
 
 
 def test_chain_rule_consistency():
-    rep = reparametrize(saddle())
-    assert rep.chain_rule_residual() < 1e-8
+    a = analyze(saddle())
+    assert a.reparam.chain_rule_residual() < 1e-8
 
 
 # --- striction curve ---
 
+def saddle_base(u):
+    return np.stack([u / 2, u / 2, np.zeros_like(u)], axis=1)
+
+
 def test_saddle_striction_equals_base():
-    c = striction_curve(saddle())
-    u = np.linspace(-1, 1, 17)
-    want = np.stack([u / 2, u / 2, np.zeros_like(u)], axis=1)
-    assert np.max(np.abs(c(u) - want)) < 1e-12
+    a = analyze(saddle())
+    assert np.max(np.abs(a.c - saddle_base(a.u))) < 1e-12
 
 
 def test_cone_striction_is_apex():
-    c = striction_curve(catalog.cone(np.pi / 4))
-    u = np.linspace(0, 2 * np.pi, 13)
-    assert np.max(np.abs(c(u))) < 1e-12
+    a = analyze(catalog.cone(np.pi / 4))
+    assert np.max(np.abs(a.c)) < 1e-12
 
 
 def test_striction_fixes_valid_base():
     # the hyperboloid base already satisfies the striction condition
     spec = catalog.small_circle(np.pi / 6, 1.0)
-    c = striction_curve(spec)
-    u = np.linspace(0, 2 * np.pi, 13)
-    assert np.max(np.abs(c(u) - spec.base(u))) < 1e-12
+    a = analyze(spec)
+    assert np.max(np.abs(a.c - spec.base(a.u))) < 1e-12
 
 
 def test_striction_without_oracles():
-    c = striction_curve(saddle(oracles=False))
-    u = np.linspace(-0.9, 0.9, 7)
-    want = np.stack([u / 2, u / 2, np.zeros_like(u)], axis=1)
-    assert np.max(np.abs(c(u) - want)) < 1e-8
+    a = analyze(saddle(oracles=False))
+    assert np.max(np.abs(a.c - saddle_base(a.u))) < 1e-8
 
 
 # --- the dual spherical curve ---
 
 def test_saddle_dual_ruling_at_center():
-    k = dual_curve(saddle())
-    v = k(0.0)
-    assert np.allclose(v.real, [SQ2 / 2, -SQ2 / 2, 0.0], atol=1e-12)
-    assert np.allclose(v.dual, [0.0, 0.0, 0.0], atol=1e-12)
+    a = analyze(saddle())
+    e_t, _, _ = a.dual_frame()
+    i0 = a.n // 2
+    assert np.allclose(e_t.real[i0], [SQ2 / 2, -SQ2 / 2, 0.0], atol=1e-12)
+    assert np.allclose(e_t.dual[i0], [0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_cone_dual_part_vanishes():
     # every ruling passes through the origin
-    k = dual_curve(catalog.cone(0.6))
-    v = k(np.linspace(0, 6, 25))
-    assert np.max(np.abs(v.dual)) < 1e-12
+    e_t, _, _ = analyze(catalog.cone(0.6)).dual_frame()
+    assert np.max(np.abs(e_t.dual)) < 1e-12
 
 
 def test_dual_part_is_striction_cross_director():
+    # the hyperboloid's base is its striction curve
     spec = catalog.small_circle(np.pi / 3, 2.0)
-    k = dual_curve(spec)
-    u = np.linspace(0.2, 5.8, 9)
-    c = striction_curve(spec)(u)
-    e = spec.director(u)
-    assert np.max(np.abs(k(u).dual - np.cross(c, e))) < 1e-12
+    a = analyze(spec)
+    e_t, _, _ = a.dual_frame()
+    want = np.cross(spec.base(a.u), spec.director(a.u))
+    assert np.max(np.abs(e_t.dual - want)) < 1e-12
 
 
 # --- frame and invariants ---
@@ -301,21 +299,22 @@ def test_dual_ruling_unit():
 
 def test_evaluate_surface():
     a = analyze(saddle())
-    assert np.allclose(evaluate_surface(a, 0.0, 0.0), [0, 0, 0], atol=1e-12)
-    assert np.allclose(evaluate_surface(a, 0.0, 1.0),
-                       [SQ2 / 2, -SQ2 / 2, 0.0], atol=1e-12)
-    p0 = evaluate_surface(a, 0.37, 0.0)
-    p1 = evaluate_surface(a, 0.37, 0.8)
-    p2 = evaluate_surface(a, 0.37, 1.6)
+    grid = surface_grid(a, (0.0, 2.0), 3)      # v = 0, 1, 2
+    i0 = a.n // 2                              # u = 0
+    assert np.allclose(grid[i0, 0], [0, 0, 0], atol=1e-12)
+    assert np.allclose(grid[i0, 1], [SQ2 / 2, -SQ2 / 2, 0.0], atol=1e-12)
+    p0, p1, p2 = grid[:, 0], grid[:, 1], grid[:, 2]
     assert np.allclose(p2 - p0, 2 * (p1 - p0), atol=1e-10)
-    with pytest.raises(ValueError):
-        evaluate_surface(a, 1.5, 0.0)
 
 
 def test_is_developable():
-    flag, m = is_developable(analyze(catalog.cone(np.pi / 4)), 1e-8)
+    offset = OffsetSpec.constant(np.pi / 4, 1.0)
+    rep = verify_offset(analyze(catalog.cone(np.pi / 4)), offset,
+                        developable_tol=1e-8)
+    flag, m = rep.base_developable
     assert flag and m < 1e-12
-    flag, m = is_developable(analyze(saddle()), 1e-8)
+    rep = verify_offset(analyze(saddle()), offset, developable_tol=1e-8)
+    flag, m = rep.base_developable
     assert not flag and m >= 0.5
 
 
@@ -342,6 +341,36 @@ def test_even_sample_count_rejected():
     spec.sample_count = 2000
     with pytest.raises(ValueError, match="odd"):
         analyze(spec)
+
+
+@pytest.mark.parametrize("director", [
+    lambda u: np.array([1.0, 0.0, 0.0]),                          # (3,)
+    lambda u: np.stack([np.cos(u), np.sin(u), np.zeros_like(u)]),  # (3, n)
+])
+def test_non_vectorized_callable_rejected(director):
+    spec = SurfaceSpec(
+        director=director,
+        base=lambda u: np.zeros(np.asarray(u, float).shape + (3,)),
+        param_range=(0.0, 1.0), sample_count=101)
+    with pytest.raises(ValueError, match=r"got shape \(3,"):
+        analyze(spec)
+
+
+def test_analysis_is_frozen():
+    a = analyze(saddle(n=101))
+    with pytest.raises(FrozenInstanceError):
+        a.Delta = np.zeros(101)
+
+
+def test_invariants_are_recomputed_equal():
+    a = analyze(catalog.small_circle(0.4, 1.0, (0.0, 5.0), 101))
+    first, second = a.invariants(), a.invariants()
+    for x, y in [(first.R.real, second.R.real), (first.R.dual, second.R.dual),
+                 (first.rho.theta, second.rho.theta),
+                 (first.rho.theta_star, second.rho.theta_star),
+                 (first.d0.real, second.d0.real),
+                 (first.d0.dual, second.d0.dual)]:
+        assert np.array_equal(x, y)
 
 
 def test_non_unit_director_rejected():
