@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import RunConfig, Tolerances
+from .config import RunConfig, Tolerances, finite_number
 from .errors import RuledGeomError
 from .io import (render_offset_report, surface_grid, write_analysis_csv,
                  write_obj)
@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args, cfg)
     analysis = analyze(cfg.build_surface())
     path = out / "analysis.csv"
-    write_analysis_csv(path, analysis)
+    write_analysis_csv(path, analysis, analysis.invariants())
     print(f"wrote {path} ({analysis.n} samples)")
     return EXIT_OK
 
@@ -106,7 +106,8 @@ def cmd_offset(args) -> int:
         report = verify_offset(analysis, spec,
                                developable_tol=tol.developable_class)
         csv_path = out / f"offset_{i}.csv"
-        write_analysis_csv(csv_path, report.offset_analysis)
+        write_analysis_csv(csv_path, report.offset_analysis,
+                           report.offset_invariants)
         text, ok = render_offset_report(
             i, spec, report, tol.mannheim_real, tol.mannheim_dual,
             tol.theorem_compare)
@@ -122,14 +123,15 @@ def cmd_mesh(args) -> int:
     out = _out_dir(args, cfg)
     if args.v_count < 2:
         raise RuledGeomError("--v-count must be at least 2")
+    v_range = [finite_number(v, "--v-range entry") for v in args.v_range]
     analysis = analyze(cfg.build_surface())
     base_path = out / "base.obj"
-    write_obj(base_path, surface_grid(analysis, args.v_range, args.v_count))
+    write_obj(base_path, surface_grid(analysis, v_range, args.v_count))
     print(f"wrote {base_path}")
     for i, doc in enumerate(cfg.offsets):
         built = construct_offset(analysis, OffsetSpec(**doc))
         path = out / f"offset_{i}.obj"
-        write_obj(path, surface_grid(analysis, args.v_range, args.v_count,
+        write_obj(path, surface_grid(analysis, v_range, args.v_count,
                                      e=built.e1, c=built.c1))
         print(f"wrote {path}")
     return EXIT_OK

@@ -19,7 +19,7 @@ from .io import read_sampled_csv
 from .surface import SurfaceSpec, sampled_surface
 
 
-def _finite_number(value, what: str) -> float:
+def finite_number(value, what: str) -> float:
     """`value` as a float; ConfigError unless it is a finite number (a bool,
     a string, null, NaN or +-Infinity is not)."""
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -75,7 +75,7 @@ class Tolerances:
                 f"unknown tolerance name(s) {sorted(bad)}; "
                 f"known: {sorted(names)}")
         return dataclasses.replace(self, **{
-            k: _finite_number(v, f"tolerance {k!r}") for k, v in updates.items()})
+            k: finite_number(v, f"tolerance {k!r}") for k, v in updates.items()})
 
 
 _TOP_KEYS = {"surface", "param_range", "sample_count", "offsets", "seed",
@@ -124,12 +124,12 @@ class RunConfig:
                     f"sampled_csv surfaces take no parameters {sorted(extra)}: "
                     "the CSV fixes the grid")
         for k in set(surface) - {kind}:
-            _finite_number(surface[k], f"surface {k!r}")
+            finite_number(surface[k], f"surface {k!r}")
 
         rng = doc.get("param_range", [-1.0, 1.0])
         if (not isinstance(rng, (list, tuple)) or len(rng) != 2):
             raise ConfigError("param_range must be [min, max]")
-        lo, hi = (_finite_number(x, "param_range entry") for x in rng)
+        lo, hi = (finite_number(x, "param_range entry") for x in rng)
         if not lo < hi:
             raise ConfigError("param_range must satisfy min < max")
 
@@ -166,7 +166,7 @@ class RunConfig:
                     f"offsets[{i}]: key(s) {sorted(stray)} do not apply to "
                     f"mode {mode!r}")
             parsed.append({k: (v if k == "mode" else
-                               _finite_number(v, f"offsets[{i}].{k}"))
+                               finite_number(v, f"offsets[{i}].{k}"))
                            for k, v in off.items()})
 
         seed = doc.get("seed", 42)

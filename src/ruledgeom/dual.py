@@ -140,28 +140,68 @@ def _col(x):
     return x[..., None] if x.ndim else x
 
 
-def _dot3(u: np.ndarray, v: np.ndarray):
-    return np.sum(u * v, axis=-1)
+# Row-wise 3-vector kernels over the last axis of float arrays: (3,) or
+# (..., 3), broadcasting.  They work component by component, without the
+# input copies of np.cross, and reproduce numpy's results bit for bit, down
+# to the sign of a zero and which of two NaN operands a sum passes on.
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b, bitwise equal to np.cross: the same ufunc calls on the same
+    component views (out=... keeps a single vector's parts arrays, not
+    numpy scalars, whose arithmetic can pass on the other NaN)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    x, y, z = out[..., 0], out[..., 1], out[..., 2]
+    np.multiply(a1, b2, out=x)
+    tmp = np.multiply(a2, b1, out=...)
+    x -= tmp
+    np.multiply(a2, b0, out=y)
+    np.multiply(a0, b2, out=tmp)
+    y -= tmp
+    np.multiply(a0, b1, out=z)
+    np.multiply(a1, b0, out=tmp)
+    z -= tmp
+    return out
+
+
+def dot3(u: np.ndarray, v: np.ndarray):
+    """<u, v>, bitwise equal to np.sum(u * v, axis=-1)."""
+    p = u * v
+    if p.size == 3:
+        # One row: numpy runs its reduction loop, which passes on a
+        # different NaN than the elementwise adds below would.
+        return np.add.reduce(p, axis=-1)
+    out = p[..., 0] + p[..., 1]
+    out += p[..., 2]
+    out += 0.0   # np.sum starts from +0.0, so a sum of -0.0 terms is +0.0
+    return out
+
+
+def norm3(u: np.ndarray):
+    """|u|, bitwise equal to numpy.linalg.norm with axis=-1."""
+    return np.sqrt(dot3(u, u))
 
 
 def dual_dot(a: DualVector, b: DualVector) -> DualScalar:
     """Dual scalar product: real <a,b>, dual <a,b*> + <a*,b>."""
-    return DualScalar(_dot3(a.real, b.real),
-                      _dot3(a.real, b.dual) + _dot3(a.dual, b.real))
+    return DualScalar(dot3(a.real, b.real),
+                      dot3(a.real, b.dual) + dot3(a.dual, b.real))
 
 
 def dual_cross(a: DualVector, b: DualVector) -> DualVector:
     """Dual cross product: real a x b, dual a x b* + a* x b."""
-    return DualVector(np.cross(a.real, b.real),
-                      np.cross(a.real, b.dual) + np.cross(a.dual, b.real))
+    return DualVector(cross3(a.real, b.real),
+                      cross3(a.real, b.dual) + cross3(a.dual, b.real))
 
 
 def dual_norm(a: DualVector) -> DualScalar:
     """|a| + eps <a, a*>/|a|; undefined for a vanishing real part."""
-    n = np.linalg.norm(a.real, axis=-1)
+    n = norm3(a.real)
     if np.any(n < PURE_EPS):
         raise PureDualVector("dual vector has (numerically) zero real part")
-    return DualScalar(n, _dot3(a.real, a.dual) / n)
+    return DualScalar(n, dot3(a.real, a.dual) / n)
 
 
 def dual_normalize(a: DualVector) -> DualVector:
@@ -203,7 +243,7 @@ def dual_angle(a: DualVector, b: DualVector) -> DualAngle:
     """
     cos_bar = dual_dot(a, b)
     cross = dual_cross(a, b)
-    sin_real = np.linalg.norm(cross.real, axis=-1)
+    sin_real = norm3(cross.real)
 
     scalar_input = np.ndim(sin_real) == 0
     sin_real = np.atleast_1d(sin_real)
@@ -216,7 +256,7 @@ def dual_angle(a: DualVector, b: DualVector) -> DualAngle:
 
     parallel = sin_real < PARALLEL_SIN_EPS
     safe_sin = np.where(parallel, 1.0, sin_real)
-    sin_dual = np.sum(cr * cd, axis=-1) / safe_sin
+    sin_dual = dot3(cr, cd) / safe_sin
 
     theta = np.arctan2(sin_real, cos_real)
     # d(atan2(s, c)) with s^2 + c^2 = 1 for unit inputs
@@ -224,8 +264,8 @@ def dual_angle(a: DualVector, b: DualVector) -> DualAngle:
 
     if np.any(parallel):
         same = cos_real > 0.0
-        dist_same = np.linalg.norm(br_dual - ar_dual, axis=-1)
-        dist_anti = np.linalg.norm(br_dual + ar_dual, axis=-1)
+        dist_same = norm3(br_dual - ar_dual)
+        dist_anti = norm3(br_dual + ar_dual)
         theta = np.where(parallel, np.where(same, 0.0, np.pi), theta)
         theta_star = np.where(parallel, np.where(same, dist_same, dist_anti),
                               theta_star)

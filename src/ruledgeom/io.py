@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .offsets import OffsetReport, OffsetSpec
-from .surface import SurfaceAnalysis
+from .surface import DualCurvatureInvariants, SurfaceAnalysis
 
 ANALYSIS_COLUMNS = [
     "u", "s", "s_star",
@@ -38,10 +38,10 @@ def _write_rows(fh, row_template: str, n_rows: int, block) -> None:
         fh.write((row_template * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def write_analysis_csv(path, analysis: SurfaceAnalysis) -> None:
+def write_analysis_csv(path, analysis: SurfaceAnalysis,
+                       inv: DualCurvatureInvariants) -> None:
     """One row per sample with the frame, scalar invariants and the dual
-    curvature columns."""
-    inv = analysis.invariants()
+    curvature columns, taken from `inv`, the analysis's invariants()."""
     cols = np.column_stack([
         analysis.u, analysis.s, analysis.s_star,
         analysis.c, analysis.e, analysis.t, analysis.g,

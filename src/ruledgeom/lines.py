@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualVector
+from .dual import DualVector, cross3, norm3
 from .errors import NotALine
 
 # Tolerance for accepting a dual vector as a line (unit direction,
@@ -62,12 +62,12 @@ class Line:
 
     def distance_to_point(self, q):
         q = np.asarray(q, dtype=float)
-        return _scalar(_row_norm(np.cross(q - self.point, self.direction)))
+        return _scalar(_row_norm(cross3(q - self.point, self.direction)))
 
 
 def line_to_dual(line: Line) -> DualVector:
     """E. Study image of an oriented line: (direction, point x direction)."""
-    return DualVector(line.direction, np.cross(line.point, line.direction))
+    return DualVector(line.direction, cross3(line.point, line.direction))
 
 
 def dual_to_line(v: DualVector, tol: float = LINE_CONSTRAINT_TOL) -> Line:
@@ -84,7 +84,7 @@ def dual_to_line(v: DualVector, tol: float = LINE_CONSTRAINT_TOL) -> Line:
         raise NotALine(
             f"constraint violation: |<a,a>-1|={np.max(unit_defect):.3e}, "
             f"|<a,a*>|={np.max(moment_defect):.3e} (tol {tol:.1e})")
-    return Line(point=np.cross(a, m), direction=a)
+    return Line(point=cross3(a, m), direction=a)
 
 
 def common_perpendicular(l1: Line, l2: Line):
@@ -113,6 +113,6 @@ def sample_lines(rng: np.random.Generator, count: int) -> Line:
     """A batch of random oriented lines for property suites: directions
     uniform on the sphere, points uniform in [-10, 10]^3."""
     dirs = rng.normal(size=(count, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= norm3(dirs)[..., None]
     pts = rng.uniform(-10.0, 10.0, size=(count, 3))
     return Line(point=pts, direction=dirs)

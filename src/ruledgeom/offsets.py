@@ -28,10 +28,11 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .dual import DualAngle, DualScalar, dual_cos, dual_sin
+from .dual import DualAngle, DualScalar, cross3, dual_cos, dual_sin, norm3
 from .errors import (ConfigError, DegenerateIndicatrix, DegenerateOffset,
                      SingularFormula)
-from .surface import DEGENERATE_SIGMA, SurfaceAnalysis, SurfaceSpec, analyze
+from .surface import (DEGENERATE_SIGMA, DualCurvatureInvariants,
+                      SurfaceAnalysis, SurfaceSpec, analyze)
 
 # Guard bands for the closed-form offset invariants (they divide by gamma
 # and by tan/cot of theta, which the formulas leave undefined at zero).
@@ -111,19 +112,17 @@ def construct_offset(analysis: SurfaceAnalysis,
     theta, theta_star = offset_profiles(a, spec)
     ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
     e1 = ct * a.e + st * a.t
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e1 /= norm3(e1)[..., None]
     c1 = a.c + theta_star[:, None] * a.g
 
     # dual part of the rotated dual ruling must equal c1 x e1
     e_t, t_t, _ = a.dual_frame()
     th = DualScalar(theta, theta_star)
     e1_tilde = e_t.scale(dual_cos(th)) + t_t.scale(dual_sin(th))
-    transport = float(np.max(np.linalg.norm(
-        e1_tilde.dual - np.cross(c1, e1), axis=1)))
+    transport = float(np.max(norm3(e1_tilde.dual - cross3(c1, e1))))
 
     h = float(a.u[1] - a.u[0])
-    sigma1 = np.linalg.norm(
-        np.gradient(e1, h, axis=0, edge_order=2), axis=1)
+    sigma1 = norm3(np.gradient(e1, h, axis=0, edge_order=2))
     if np.max(sigma1) < DEGENERATE_SIGMA:
         raise DegenerateOffset(
             "offset indicatrix is singular everywhere: the rotated director "
@@ -228,6 +227,7 @@ class OffsetReport:
     informational: bool
     constructed: ConstructedOffset
     offset_analysis: SurfaceAnalysis
+    offset_invariants: DualCurvatureInvariants
     mannheim_residual_real: float
     mannheim_residual_dual: float
     rows: list
@@ -278,8 +278,8 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
     # of the recomputed offset.
     _, _, g_t = a.dual_frame()
     e1_t, t1_t, g1_t = off.dual_frame()
-    mann_real = _max_at(np.linalg.norm(g_t.real - t1_t.real, axis=1), interior)
-    mann_dual = _max_at(np.linalg.norm(g_t.dual - t1_t.dual, axis=1), interior)
+    mann_real = _max_at(norm3(g_t.real - t1_t.real), interior)
+    mann_dual = _max_at(norm3(g_t.dual - t1_t.dual), interior)
 
     rows: list[ComparisonRow] = []
 
@@ -314,18 +314,15 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
     th = DualScalar(built.theta, built.theta_star)
     d0_pred = e1_t.scale(dual_cos(th)) + g1_t.scale(dual_sin(th))
     d0_rec = inv.d0
-    add("d0_1 (real)",
-        np.linalg.norm(d0_pred.real - d0_rec.real, axis=1),
-        np.zeros(a.n))
-    add("d0_1 (dual)",
-        np.linalg.norm(d0_pred.dual - d0_rec.dual, axis=1),
-        np.zeros(a.n))
+    add("d0_1 (real)", norm3(d0_pred.real - d0_rec.real), np.zeros(a.n))
+    add("d0_1 (dual)", norm3(d0_pred.dual - d0_rec.dual), np.zeros(a.n))
 
     return OffsetReport(
         mode=spec.mode,
         informational=(spec.mode == "constant_angle"),
         constructed=built,
         offset_analysis=off,
+        offset_invariants=inv,
         mannheim_residual_real=mann_real if mann_real is not None else np.nan,
         mannheim_residual_dual=mann_dual if mann_dual is not None else np.nan,
         rows=rows,

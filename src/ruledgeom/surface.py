@@ -22,14 +22,15 @@ samples use one-sided stencils and are excluded from residual claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from .dual import DualAngle, DualScalar, DualVector, dual_div, dual_sqrt
+from .dual import (DualAngle, DualScalar, DualVector, cross3, dot3, dual_div,
+                   dual_sqrt, norm3)
 from .errors import DegenerateIndicatrix
 
 # Indicatrix speeds below this mean the director is (locally) constant.
@@ -110,7 +111,8 @@ class DualCurvatureInvariants:
 
 @dataclass(frozen=True)
 class SurfaceAnalysis:
-    """Full per-sample state of an analyzed ruled surface (immutable)."""
+    """Full per-sample state of an analyzed ruled surface (immutable: every
+    array field is a read-only view)."""
 
     spec: SurfaceSpec
     u: np.ndarray
@@ -121,6 +123,11 @@ class SurfaceAnalysis:
     e: np.ndarray
     t: np.ndarray
     g: np.ndarray
+    # moments c x e, c x t, c x g about the striction curve: the dual parts
+    # of the dual Darboux frame
+    e_star: np.ndarray
+    t_star: np.ndarray
+    g_star: np.ndarray
     Delta: np.ndarray
     delta: np.ndarray
     gamma: np.ndarray
@@ -132,6 +139,16 @@ class SurfaceAnalysis:
     e_uu: np.ndarray = field(repr=False, default=None)
     c_u: np.ndarray = field(repr=False, default=None)
 
+    def __post_init__(self):
+        # Views, so that flagging them leaves arrays the caller owns (a
+        # spec's grid, say) writable.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                view = value.view()
+                view.flags.writeable = False
+                object.__setattr__(self, f.name, view)
+
     @property
     def n(self) -> int:
         return len(self.u)
@@ -142,9 +159,9 @@ class SurfaceAnalysis:
     def dual_frame(self) -> tuple[DualVector, DualVector, DualVector]:
         """Dual Darboux frame: e, t, g with moments taken about the
         striction curve."""
-        return (DualVector(self.e, np.cross(self.c, self.e)),
-                DualVector(self.t, np.cross(self.c, self.t)),
-                DualVector(self.g, np.cross(self.c, self.g)))
+        return (DualVector(self.e, self.e_star),
+                DualVector(self.t, self.t_star),
+                DualVector(self.g, self.g_star))
 
     def invariants(self) -> DualCurvatureInvariants:
         """Dual curvature invariants, computed afresh on every call."""
@@ -195,7 +212,7 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     frame and invariants on the sample grid."""
     u, h = _grid_of(spec)
     e = _eval_curve(spec.director, u)
-    unit_defect = np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0))
+    unit_defect = np.max(np.abs(norm3(e) - 1.0))
     if unit_defect > DIRECTOR_UNIT_TOL:
         raise ValueError(
             f"director is not a unit field (max defect {unit_defect:.3e})")
@@ -204,7 +221,7 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     e_uu = (_eval_curve(spec.director_d2, u) if spec.director_d2 is not None
             else _fd1(e_u, h))
 
-    sigma = np.linalg.norm(e_u, axis=1)
+    sigma = norm3(e_u)
     if np.min(sigma) < DEGENERATE_SIGMA:
         raise DegenerateIndicatrix(
             f"indicatrix speed falls to {np.min(sigma):.3e}: the director "
@@ -215,28 +232,27 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
            else _fd1(p, h))
 
     sig2 = sigma * sigma
-    lam = -np.sum(p_u * e_u, axis=1) / sig2
+    lam = -dot3(p_u, e_u) / sig2
     c = p + lam[:, None] * e
 
     analytic = spec.has_analytic_frame
     if analytic:
         p_uu = _eval_curve(spec.base_d2, u)
-        sig_u = np.sum(e_u * e_uu, axis=1) / sigma
-        lam_u = (-(np.sum(p_uu * e_u, axis=1) + np.sum(p_u * e_uu, axis=1))
-                 / sig2
-                 + 2.0 * np.sum(p_u * e_u, axis=1) * sig_u / (sig2 * sigma))
+        sig_u = dot3(e_u, e_uu) / sigma
+        lam_u = (-(dot3(p_uu, e_u) + dot3(p_u, e_uu)) / sig2
+                 + 2.0 * dot3(p_u, e_u) * sig_u / (sig2 * sigma))
         c_u = p_u + lam_u[:, None] * e + lam[:, None] * e_u
     else:
         c_u = _fd1(c, h)
 
     t = e_u / sigma[:, None]
-    g = np.cross(e, t)
+    g = cross3(e, t)
     c_s = c_u / sigma[:, None]
 
-    delta = np.sum(c_s * e, axis=1)
-    Delta = np.sum(c_s * g, axis=1)
+    delta = dot3(c_s, e)
+    Delta = dot3(c_s, g)
     # conical curvature: det(e, e', e'') / sigma^3
-    gamma = np.sum(np.cross(e, e_u) * e_uu, axis=1) / (sig2 * sigma)
+    gamma = dot3(cross3(e, e_u), e_uu) / (sig2 * sigma)
     gamma_dual = delta - gamma * Delta
 
     s = cumulative_simpson(sigma, x=u, initial=0.0)
@@ -244,10 +260,12 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     if np.any(np.diff(s) <= 0.0):
         raise DegenerateIndicatrix("arc length failed to increase strictly")
 
+    reparam = Reparametrization(u, s, sigma)
     return SurfaceAnalysis(
         spec=spec, u=u, s=s, s_star=s_star, sigma=sigma, c=c, e=e, t=t, g=g,
+        e_star=cross3(c, e), t_star=cross3(c, t), g_star=cross3(c, g),
         Delta=Delta, delta=delta, gamma=gamma, gamma_dual=gamma_dual,
-        reparam=Reparametrization(u, s, sigma), analytic_frame=analytic,
+        reparam=reparam, analytic_frame=analytic,
         e_u=e_u, e_uu=e_uu, c_u=c_u)
 
 
@@ -293,9 +311,9 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
     sl = slice(trim, a.n - trim if trim else a.n)
 
     if a.analytic_frame:
-        sig_u = np.sum(a.e_u * a.e_uu, axis=1) / a.sigma
+        sig_u = dot3(a.e_u, a.e_uu) / a.sigma
         t_u = a.e_uu / a.sigma[:, None] - a.e_u * (sig_u / (a.sigma ** 2))[:, None]
-        g_u = np.cross(a.e_u, a.t) + np.cross(a.e, t_u)
+        g_u = cross3(a.e_u, a.t) + cross3(a.e, t_u)
         c_u = a.c_u
     else:
         t_u = _fd1(a.t, h)
@@ -307,9 +325,9 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
     t_s = t_u / a.sigma[:, None]
     g_s = g_u / a.sigma[:, None]
     gam = a.gamma[:, None]
-    res_e = np.linalg.norm(e_s - a.t, axis=1)
-    res_t = np.linalg.norm(t_s - (gam * a.g - a.e), axis=1)
-    res_g = np.linalg.norm(g_s + gam * a.t, axis=1)
+    res_e = norm3(e_s - a.t)
+    res_t = norm3(t_s - (gam * a.g - a.e))
+    res_g = norm3(g_s + gam * a.t)
 
     # dual parts evolve in the dual arc length: divide by sigma*(1 + eps*Delta)
     e_t, t_t, g_t = a.dual_frame()
@@ -320,7 +338,7 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
         return DualVector(real_u, dual_u).scale(inv_speed)
 
     def moment_u(vec_u, vec):
-        return np.cross(c_u, vec) + np.cross(a.c, vec_u)
+        return cross3(c_u, vec) + cross3(a.c, vec_u)
 
     de = d_dsbar(a.e_u, moment_u(a.e_u, a.e))
     dt = d_dsbar(t_u, moment_u(t_u, a.t))
@@ -328,16 +346,14 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
     gb = a.gamma_bar()
     rhs_t = g_t.scale(gb) - e_t
     rhs_g = -(t_t.scale(gb))
-    dres_e = np.linalg.norm(de.dual - t_t.dual, axis=1)
-    dres_t = np.linalg.norm(dt.dual - rhs_t.dual, axis=1)
-    dres_g = np.linalg.norm(dg.dual - rhs_g.dual, axis=1)
+    dres_e = norm3(de.dual - t_t.dual)
+    dres_t = norm3(dt.dual - rhs_t.dual)
+    dres_g = norm3(dg.dual - rhs_g.dual)
 
-    ortho = np.max(np.abs(np.stack([
-        np.sum(a.e * a.t, axis=1), np.sum(a.t * a.g, axis=1),
-        np.sum(a.e * a.g, axis=1),
-        np.linalg.norm(a.e, axis=1) - 1.0,
-        np.linalg.norm(a.t, axis=1) - 1.0,
-        np.linalg.norm(a.g, axis=1) - 1.0])))
+    # np.max, not max(): a NaN defect must propagate
+    ortho = np.max([np.max(np.abs(x)) for x in (
+        dot3(a.e, a.t), dot3(a.t, a.g), dot3(a.e, a.g),
+        norm3(a.e) - 1.0, norm3(a.t) - 1.0, norm3(a.g) - 1.0)])
 
     per = {"e": float(np.max(res_e[sl])), "t": float(np.max(res_t[sl])),
            "g": float(np.max(res_g[sl])),
@@ -361,7 +377,7 @@ def sampled_surface(u: np.ndarray, directors: np.ndarray,
     u = np.asarray(u, dtype=float)
     e = np.asarray(directors, dtype=float)
     p = np.asarray(bases, dtype=float)
-    norms = np.linalg.norm(e, axis=1, keepdims=True)
+    norms = norm3(e)[..., None]
     if np.max(np.abs(norms - 1.0)) > DIRECTOR_UNIT_TOL:
         raise ValueError("sampled directors are not unit vectors")
     e = e / norms
@@ -382,15 +398,15 @@ def unit_normalized(raw: Callable, raw_d1: Optional[Callable] = None,
     """
     def _n(u):
         r = np.asarray(raw(u), dtype=float)
-        return r / np.linalg.norm(r, axis=-1, keepdims=True)
+        return r / norm3(r)[..., None]
 
     d1 = d2 = None
     if raw_d1 is not None:
         def d1(u):
             r = np.asarray(raw(u), dtype=float)
             r1 = np.asarray(raw_d1(u), dtype=float)
-            rho = np.linalg.norm(r, axis=-1, keepdims=True)
-            rr1 = np.sum(r * r1, axis=-1, keepdims=True)
+            rho = norm3(r)[..., None]
+            rr1 = dot3(r, r1)[..., None]
             return r1 / rho - r * rr1 / rho ** 3
 
         if raw_d2 is not None:
@@ -398,10 +414,10 @@ def unit_normalized(raw: Callable, raw_d1: Optional[Callable] = None,
                 r = np.asarray(raw(u), dtype=float)
                 r1 = np.asarray(raw_d1(u), dtype=float)
                 r2 = np.asarray(raw_d2(u), dtype=float)
-                rho = np.linalg.norm(r, axis=-1, keepdims=True)
-                rr1 = np.sum(r * r1, axis=-1, keepdims=True)
-                r1r1 = np.sum(r1 * r1, axis=-1, keepdims=True)
-                rr2 = np.sum(r * r2, axis=-1, keepdims=True)
+                rho = norm3(r)[..., None]
+                rr1 = dot3(r, r1)[..., None]
+                r1r1 = dot3(r1, r1)[..., None]
+                rr2 = dot3(r, r2)[..., None]
                 return (r2 / rho
                         - (2.0 * r1 * rr1 + r * (r1r1 + rr2)) / rho ** 3
                         + 3.0 * r * rr1 ** 2 / rho ** 5)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import catalog
 from .config import Tolerances
-from .dual import (DualScalar, DualVector, dual_angle, dual_cross, dual_dot,
-                   dual_mul, dual_norm, dual_normalize, lift)
+from .dual import (DualScalar, DualVector, dot3, dual_angle, dual_cross,
+                   dual_dot, dual_mul, dual_norm, dual_normalize, lift, norm3)
 from .lines import (common_perpendicular, dual_to_line, line_to_dual,
                     row_dot, sample_lines)
 from .offsets import (OffsetSpec, developability_conditions, offset_angle,
@@ -92,7 +92,7 @@ def suite_dual_algebra(tol: Tolerances, seed: int) -> list[Check]:
                   np.max(np.abs(lhs.dual - rhs.dual)), tol.lagrange))
 
     dirs = rng.normal(size=(n, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= norm3(dirs)[..., None]
     vc = DualVector(dirs * rng.uniform(0.5, 3.0, (n, 1)),
                     rng.uniform(-3, 3, (n, 3)))
     nn = dual_norm(dual_normalize(vc))
@@ -258,9 +258,9 @@ def _pipeline_checks(label: str, a, tol: Tolerances,
     unit_dev = max(np.max(np.abs(ee.real - 1.0)), np.max(np.abs(ee.dual)))
 
     c_s = a.c_u / a.sigma[:, None]
-    ortho = np.max(np.abs(np.sum(c_s * a.t, axis=1)[trim]))
-    decomp = np.max(np.linalg.norm(
-        (c_s - a.delta[:, None] * a.e - a.Delta[:, None] * a.g)[trim], axis=1))
+    ortho = np.max(np.abs(dot3(c_s, a.t)[trim]))
+    decomp = np.max(norm3(
+        (c_s - a.delta[:, None] * a.e - a.Delta[:, None] * a.g)[trim]))
 
     ds, dss = np.diff(a.s), np.diff(a.s_star)
     mid_Delta = 0.5 * (a.Delta[1:] + a.Delta[:-1])

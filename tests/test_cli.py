@@ -2,10 +2,12 @@
 
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ruledgeom import surface
 from ruledgeom.cli import main
 from ruledgeom.io import ANALYSIS_COLUMNS, read_sampled_csv
 from ruledgeom.errors import ConfigError
@@ -112,17 +114,22 @@ OFFSET = {"mode": "constant_angle", "theta": np.pi / 4, "theta_star": 2 * SQ2}
     ({"surface": {"sampled_csv": "s.csv"}, "sample_count": 101}, [],
      "sampled_csv surfaces take no parameters ['sample_count']"),
     ({"surface": {"sampled_csv": 3}}, [], "'sampled_csv' must be a string"),
+    ({}, ["mesh", "--v-range", "nan", "1", "--v-count", "3"], "--v-range entry"),
+    ({}, ["mesh", "--v-range", "0", "inf"], "--v-range entry"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, overrides, argv, message):
     doc = {"surface": {"builtin": "hyperbolic_paraboloid"}, "offsets": [OFFSET]}
     doc.update(overrides)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))      # NaN/Infinity as json.loads reads them
-    assert main(["offset", "--config", str(cfg), "--out", str(tmp_path)]
-                + argv) == 1
+    # argv runs offset unless it starts with the mesh command
+    command, *options = argv if argv[:1] == ["mesh"] else ["offset", *argv]
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]
+                + options) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.obj"))
 
 
 # --- offset ---
@@ -159,6 +166,20 @@ def test_offset_theorem_mode_asserts_and_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "ok" in out
+
+
+def test_offset_computes_each_offsets_invariants_once(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        surface={"builtin": "cone", "alpha": np.pi / 4},
+        param_range=[0.0, 2.5 / np.sin(np.pi / 4)], sample_count=2001,
+        offsets=[{"mode": "theorem_consistent", "c": 2.8, "c_star": 0.7},
+                 {"mode": "constant_angle", "theta": 0.5, "theta_star": 1.0}])
+    with mock.patch.object(surface, "dual_invariants",
+                           wraps=surface.dual_invariants) as counted:
+        assert main(["offset", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    assert counted.call_count == 2
 
 
 def test_offset_theorem_mode_failure_exits_2(tmp_path, capsys):

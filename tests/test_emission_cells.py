@@ -48,9 +48,10 @@ def test_obj_cells_are_17g(tmp_path_factory, grid, block):
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
-def _analysis_like(table: np.ndarray) -> SimpleNamespace:
-    """Stand-in carrying what write_analysis_csv reads, with `table`'s
-    columns in ANALYSIS_COLUMNS order."""
+def _analysis_like(table: np.ndarray) -> tuple[SimpleNamespace,
+                                               SimpleNamespace]:
+    """Stand-ins for the analysis and the invariants write_analysis_csv
+    reads, with `table`'s columns in ANALYSIS_COLUMNS order."""
     col = dict(zip(ANALYSIS_COLUMNS, table.T))
 
     def xyz(name):
@@ -62,8 +63,7 @@ def _analysis_like(table: np.ndarray) -> SimpleNamespace:
     return SimpleNamespace(
         u=col["u"], s=col["s"], s_star=col["s_star"], c=xyz("c"), e=xyz("e"),
         t=xyz("t"), g=xyz("g"), Delta=col["Delta"], delta=col["delta"],
-        gamma=col["gamma"], gamma_dual=col["gamma_dual"],
-        invariants=lambda: inv)
+        gamma=col["gamma"], gamma_dual=col["gamma_dual"]), inv
 
 
 @settings(deadline=None, max_examples=60)
@@ -74,7 +74,7 @@ def _analysis_like(table: np.ndarray) -> SimpleNamespace:
 def test_csv_cells_are_17g(tmp_path_factory, table, block):
     path = tmp_path_factory.mktemp("csv") / "analysis.csv"
     with mock.patch.object(io, "BLOCK_ROWS", block):
-        write_analysis_csv(path, _analysis_like(table))
+        write_analysis_csv(path, *_analysis_like(table))
     want = [",".join(ANALYSIS_COLUMNS)]
     want += [",".join(ref(x) for x in row) for row in table]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()

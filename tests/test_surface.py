@@ -11,7 +11,7 @@ Closed forms used below (derived by direct differentiation):
 * helicoid pitch p: striction = axis, gamma = delta = 0, Delta = p.
 """
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -360,6 +360,31 @@ def test_analysis_is_frozen():
     a = analyze(saddle(n=101))
     with pytest.raises(FrozenInstanceError):
         a.Delta = np.zeros(101)
+
+
+def test_analysis_arrays_are_read_only():
+    a = analyze(saddle(n=101))
+    with pytest.raises(ValueError, match="read-only"):
+        a.dual_frame()[0].dual[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        a.Delta[0] = 0.0
+
+
+def test_analysis_leaves_the_callers_grid_writable():
+    a = analyze(saddle(n=101))
+    grid = np.array(a.u)
+    spec = sampled_surface(grid, a.e, a.c)
+    assert spec.grid is grid
+    b = analyze(spec)
+    assert grid.flags.writeable and not b.u.flags.writeable
+    assert np.array_equal(b.u, grid)
+
+
+def test_orthonormality_defect_propagates_nan():
+    a = analyze(catalog.cone(0.6, (0.0, 5.0), 101))
+    g = np.array(a.g)
+    g[50, 1] = np.nan    # only the g rows: not the first of the six maxima
+    assert np.isnan(frame_ode_residual(replace(a, g=g)).orthonormality_max)
 
 
 def test_invariants_are_recomputed_equal():
