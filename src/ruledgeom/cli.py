@@ -1,11 +1,12 @@
 """Command-line front end.
 
-    ruledgeom analyze --config cfg.json [--out DIR] [--tolerance k=v ...]
+    ruledgeom analyze --config cfg.json [--out DIR]
     ruledgeom offset  --config cfg.json [--out DIR] [--tolerance k=v ...]
     ruledgeom mesh    --config cfg.json [--out DIR] [--v-range A B] [--v-count N]
     ruledgeom verify  [--config cfg.json] [--tolerance k=v ...]
 
-Exit codes: 0 success, 1 input/environment error, 2 verification failure.
+--out defaults to the config's out_dir.  Exit codes: 0 success, 1
+input/environment error (usage errors included), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import RunConfig, Tolerances, finite_number
+from .config import RunConfig, finite_number
 from .errors import RuledGeomError
 from .io import (render_offset_report, surface_grid, write_analysis_csv,
                  write_obj)
@@ -27,31 +28,39 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code of a failed
+    verification here; this parser (and its subparsers) exits 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ruledgeom",
         description="Ruled-surface analysis, Mannheim offsets, and the "
                     "verification suite.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    analyze_p = sub.add_parser("analyze", help="frame + invariant CSV table")
+    offset_p = sub.add_parser("offset", help="offset CSVs and reports")
+    mesh_p = sub.add_parser("mesh", help="OBJ meshes of base and offsets")
+    verify_p = sub.add_parser("verify", help="run all verification suites")
+    for p in (analyze_p, offset_p, mesh_p, verify_p):
+        p.add_argument("--config", required=p is not verify_p,
                        help="JSON run configuration")
-        p.add_argument("--out", default=".", help="output directory")
+    for p in (analyze_p, offset_p, mesh_p):
+        p.add_argument("--out", help="output directory (default: the "
+                                     "config's out_dir)")
+    for p in (offset_p, verify_p):
         p.add_argument("--tolerance", action="append", default=[],
                        metavar="NAME=VALUE",
                        help="override a named tolerance (repeatable)")
-
-    common(sub.add_parser("analyze", help="frame + invariant CSV table"))
-    common(sub.add_parser("offset", help="offset CSVs and reports"))
-    mesh = sub.add_parser("mesh", help="OBJ meshes of base and offsets")
-    common(mesh)
-    mesh.add_argument("--v-range", nargs=2, type=float, default=[-2.0, 2.0],
-                      metavar=("A", "B"), help="ruling parameter range")
-    mesh.add_argument("--v-count", type=int, default=25,
-                      help="samples per ruling")
-    common(sub.add_parser("verify", help="run all verification suites"),
-           config_required=False)
+    mesh_p.add_argument("--v-range", nargs=2, type=float, default=[-2.0, 2.0],
+                        metavar=("A", "B"), help="ruling parameter range")
+    mesh_p.add_argument("--v-count", type=int, default=25,
+                        help="samples per ruling")
     return parser
 
 
@@ -69,23 +78,20 @@ def _tolerance_overrides(pairs: list[str]) -> dict:
     return out
 
 
-def _load(args) -> tuple[RunConfig, Tolerances]:
+def _load(args) -> RunConfig:
     if args.config is not None:
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = RunConfig(surface={"builtin": "hyperbolic_paraboloid"})
-    tol = cfg.tolerances.override(_tolerance_overrides(args.tolerance))
-    return cfg, tol
+        return RunConfig.from_file(args.config)
+    return RunConfig(surface={"builtin": "hyperbolic_paraboloid"})
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
-    d = Path(args.out if args.out != "." else cfg.out_dir)
+    d = Path(cfg.out_dir if args.out is None else args.out)
     d.mkdir(parents=True, exist_ok=True)
     return d
 
 
 def cmd_analyze(args) -> int:
-    cfg, _ = _load(args)
+    cfg = _load(args)
     out = _out_dir(args, cfg)
     analysis = analyze(cfg.build_surface())
     path = out / "analysis.csv"
@@ -95,7 +101,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_offset(args) -> int:
-    cfg, tol = _load(args)
+    cfg = _load(args)
+    tol = cfg.tolerances.override(_tolerance_overrides(args.tolerance))
     if not cfg.offsets:
         raise RuledGeomError("config declares no offsets")
     out = _out_dir(args, cfg)
@@ -119,7 +126,7 @@ def cmd_offset(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    cfg, _ = _load(args)
+    cfg = _load(args)
     out = _out_dir(args, cfg)
     if args.v_count < 2:
         raise RuledGeomError("--v-count must be at least 2")
@@ -138,7 +145,8 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, tol = _load(args)
+    cfg = _load(args)
+    tol = cfg.tolerances.override(_tolerance_overrides(args.tolerance))
     text, failed = run_all(tol, cfg.seed)
     sys.stdout.write(text)
     return EXIT_OK if failed == 0 else EXIT_VERIFY

@@ -29,7 +29,11 @@ Scalar = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class DualScalar:
-    """a + eps*b. Fields may be floats or broadcast-compatible arrays."""
+    """a + eps*b. Fields may be floats or broadcast-compatible arrays.
+
+    A dual angle theta + eps*theta_star between two oriented lines is one:
+    real part the angle, dual part the signed offset along their common
+    perpendicular."""
 
     real: Scalar
     dual: Scalar
@@ -40,26 +44,10 @@ class DualScalar:
 
     __radd__ = __add__
 
-    def __sub__(self, other: "DualScalar | float") -> "DualScalar":
-        other = _as_dual(other)
-        return DualScalar(self.real - other.real, self.dual - other.dual)
-
-    def __rsub__(self, other: "DualScalar | float") -> "DualScalar":
-        return _as_dual(other) - self
-
-    def __neg__(self) -> "DualScalar":
-        return DualScalar(-self.real, -self.dual)
-
     def __mul__(self, other: "DualScalar | float") -> "DualScalar":
         return dual_mul(self, _as_dual(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "DualScalar | float") -> "DualScalar":
-        return dual_div(self, _as_dual(other))
-
-    def __rtruediv__(self, other: "DualScalar | float") -> "DualScalar":
-        return dual_div(_as_dual(other), self)
 
 
 def _as_dual(x) -> DualScalar:
@@ -127,11 +115,6 @@ class DualVector:
         sr = _col(s.real)
         sd = _col(s.dual)
         return DualVector(sr * self.real, sr * self.dual + sd * self.real)
-
-    def __mul__(self, s) -> "DualVector":
-        return self.scale(_as_dual(s))
-
-    __rmul__ = __mul__
 
 
 def _col(x):
@@ -213,26 +196,9 @@ def dual_normalize(a: DualVector) -> DualVector:
     return DualVector(a.real / nr, a.dual / nr - a.real * nd / (nr * nr))
 
 
-@dataclass(frozen=True)
-class DualAngle:
-    """theta + eps*theta_star between two oriented lines: theta is the real
-    angle, theta_star the (signed) offset along the common perpendicular."""
-
-    theta: Scalar
-    theta_star: Scalar
-
-    def as_scalar(self) -> DualScalar:
-        return DualScalar(self.theta, self.theta_star)
-
-    def sin(self) -> DualScalar:
-        return dual_sin(self.as_scalar())
-
-    def cos(self) -> DualScalar:
-        return dual_cos(self.as_scalar())
-
-
-def dual_angle(a: DualVector, b: DualVector) -> DualAngle:
-    """Dual angle between two dual unit vectors (oriented lines).
+def dual_angle(a: DualVector, b: DualVector) -> DualScalar:
+    """Dual angle theta + eps*theta_star between two dual unit vectors
+    (oriented lines).
 
     theta is recovered from atan2 of the dual sine (norm of the dual cross
     product) and dual cosine (dual dot), which keeps theta in [0, pi] and
@@ -271,5 +237,5 @@ def dual_angle(a: DualVector, b: DualVector) -> DualAngle:
                               theta_star)
 
     if scalar_input:
-        return DualAngle(float(theta[0]), float(theta_star[0]))
-    return DualAngle(theta, theta_star)
+        return DualScalar(float(theta[0]), float(theta_star[0]))
+    return DualScalar(theta, theta_star)

@@ -32,10 +32,5 @@ class DegenerateOffset(RuledGeomError):
     identity offset) and cannot be analyzed as a separate surface."""
 
 
-class SingularFormula(RuledGeomError):
-    """A closed-form offset invariant is undefined at the evaluated samples
-    (division by a guarded quantity)."""
-
-
 class ConfigError(RuledGeomError):
     """Invalid run configuration or input file."""

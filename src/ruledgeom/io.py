@@ -46,7 +46,7 @@ def write_analysis_csv(path, analysis: SurfaceAnalysis,
         analysis.u, analysis.s, analysis.s_star,
         analysis.c, analysis.e, analysis.t, analysis.g,
         analysis.Delta, analysis.delta, analysis.gamma, analysis.gamma_dual,
-        inv.R.real, inv.R.dual, inv.rho.theta, inv.rho.theta_star,
+        inv.R.real, inv.R.dual, inv.rho.real, inv.rho.dual,
     ])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(ANALYSIS_COLUMNS) + "\n")

@@ -22,15 +22,14 @@ re-analyzed through the full pipeline with finite differences only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .dual import DualAngle, DualScalar, cross3, dual_cos, dual_sin, norm3
-from .errors import (ConfigError, DegenerateIndicatrix, DegenerateOffset,
-                     SingularFormula)
+from .dual import DualScalar, cross3, dual_cos, dual_sin, norm3
+from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
 from .surface import (DEGENERATE_SIGMA, DualCurvatureInvariants,
                       SurfaceAnalysis, SurfaceSpec, analyze)
 
@@ -68,18 +67,10 @@ class OffsetSpec:
 
 
 def offset_angle(analysis: SurfaceAnalysis, c: float,
-                 c_star: float) -> tuple[np.ndarray, np.ndarray]:
-    """Offset angle/distance profiles of a Mannheim pair:
+                 c_star: float) -> DualScalar:
+    """Dual offset angle theta + eps*theta_star of a Mannheim pair:
     theta(s) = -s + c and theta_star(s) = -integral(Delta ds) + c_star."""
-    return -analysis.s + c, -analysis.s_star + c_star
-
-
-def offset_profiles(analysis: SurfaceAnalysis,
-                    spec: OffsetSpec) -> tuple[np.ndarray, np.ndarray]:
-    if spec.mode == "theorem_consistent":
-        return offset_angle(analysis, spec.c, spec.c_star)
-    n = analysis.n
-    return np.full(n, spec.theta), np.full(n, spec.theta_star)
+    return DualScalar(-analysis.s + c, -analysis.s_star + c_star)
 
 
 @dataclass
@@ -87,8 +78,7 @@ class ConstructedOffset:
     """Sampled offset geometry plus the spec that re-runs the pipeline."""
 
     surface: SurfaceSpec
-    theta: np.ndarray
-    theta_star: np.ndarray
+    theta_bar: DualScalar   # dual offset angle; fields are (n,) arrays
     e1: np.ndarray
     c1: np.ndarray
     transport_residual: float
@@ -109,15 +99,17 @@ def construct_offset(analysis: SurfaceAnalysis,
     a theorem-consistent offset of a surface with vanishing conical
     curvature)."""
     a = analysis
-    theta, theta_star = offset_profiles(a, spec)
-    ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    if spec.mode == "theorem_consistent":
+        th = offset_angle(a, spec.c, spec.c_star)
+    else:
+        th = DualScalar(np.full(a.n, spec.theta), np.full(a.n, spec.theta_star))
+    ct, st = np.cos(th.real)[:, None], np.sin(th.real)[:, None]
     e1 = ct * a.e + st * a.t
     e1 /= norm3(e1)[..., None]
-    c1 = a.c + theta_star[:, None] * a.g
+    c1 = a.c + th.dual[:, None] * a.g
 
     # dual part of the rotated dual ruling must equal c1 x e1
     e_t, t_t, _ = a.dual_frame()
-    th = DualScalar(theta, theta_star)
     e1_tilde = e_t.scale(dual_cos(th)) + t_t.scale(dual_sin(th))
     transport = float(np.max(norm3(e1_tilde.dual - cross3(c1, e1))))
 
@@ -128,16 +120,14 @@ def construct_offset(analysis: SurfaceAnalysis,
             "offset indicatrix is singular everywhere: the rotated director "
             "does not move (|e1'| = 0, e.g. gamma*sin(theta) = 0 identically)")
 
-    e_spline = CubicSpline(a.u, e1, axis=0)
-    c_spline = CubicSpline(a.u, c1, axis=0)
     surface = SurfaceSpec(
-        director=lambda x: e_spline(x), base=lambda x: c_spline(x),
+        director=CubicSpline(a.u, e1, axis=0), base=CubicSpline(a.u, c1, axis=0),
         param_range=(float(a.u[0]), float(a.u[-1])), sample_count=a.n,
         grid=a.u, name=f"{a.spec.name or 'surface'}+offset[{spec.mode}]")
-    identity = bool(np.max(np.abs(theta)) < 1e-12
-                    and np.max(np.abs(theta_star)) < 1e-12)
+    identity = bool(np.max(np.abs(th.real)) < 1e-12
+                    and np.max(np.abs(th.dual)) < 1e-12)
     return ConstructedOffset(
-        surface=surface, theta=theta, theta_star=theta_star, e1=e1, c1=c1,
+        surface=surface, theta_bar=th, e1=e1, c1=c1,
         transport_residual=transport, is_identity=identity)
 
 
@@ -146,33 +136,20 @@ class PredictedInvariants:
     """Closed-form offset invariants implied by the Mannheim relations.
 
     Entries whose formula divides by a guarded quantity are NaN outside
-    the guard band; `require` hands back an array only when every sample
-    is defined and otherwise raises SingularFormula naming the guard.
+    the guard band, where their `valid` mask is False.  The dual spherical
+    radius of curvature rho1 is the dual offset angle theta_bar itself.
     """
 
-    theta: np.ndarray
-    theta_star: np.ndarray
-    ds1_ds: np.ndarray
     dsbar1_dsbar: DualScalar
     gamma1: np.ndarray
     Delta1: np.ndarray
     delta1: np.ndarray
     R1: DualScalar
-    rho1: DualAngle
-    valid: dict = field(default_factory=dict)
-    guard_notes: dict = field(default_factory=dict)
-
-    def require(self, name: str) -> np.ndarray:
-        mask = self.valid.get(name)
-        if mask is not None and not bool(np.all(mask)):
-            raise SingularFormula(
-                f"{name} undefined at {int(np.sum(~mask))} samples: "
-                f"{self.guard_notes.get(name, 'guard band')}")
-        return getattr(self, name)
+    rho1: DualScalar
+    valid: dict
 
 
-def predicted_invariants(analysis: SurfaceAnalysis, theta: np.ndarray,
-                         theta_star: np.ndarray,
+def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
                          gamma_min: float = GAMMA_MIN,
                          sin_min: float = SIN_MIN) -> PredictedInvariants:
     """Evaluate the Mannheim-offset invariant formulas on the base
@@ -181,7 +158,7 @@ def predicted_invariants(analysis: SurfaceAnalysis, theta: np.ndarray,
     the offset, dual curvature sin(theta_bar) and spherical radius
     theta_bar itself."""
     a = analysis
-    th = DualScalar(np.asarray(theta, float), np.asarray(theta_star, float))
+    th = theta_bar
     gamma_ok = np.abs(a.gamma) > gamma_min
     sin_ok = np.abs(np.sin(th.real)) > sin_min
 
@@ -196,17 +173,10 @@ def predicted_invariants(analysis: SurfaceAnalysis, theta: np.ndarray,
         delta1 = np.where(sin_ok & gamma_ok, d_over_g * cot - th.dual, np.nan)
 
     return PredictedInvariants(
-        theta=th.real, theta_star=th.dual,
-        ds1_ds=dsbar.real, dsbar1_dsbar=dsbar,
-        gamma1=gamma1, Delta1=Delta1, delta1=delta1,
-        R1=sin_bar, rho1=DualAngle(th.real, th.dual),
+        dsbar1_dsbar=dsbar, gamma1=gamma1, Delta1=Delta1, delta1=delta1,
+        R1=sin_bar, rho1=th,
         valid={"gamma1": sin_ok, "Delta1": sin_ok & gamma_ok,
-               "delta1": sin_ok & gamma_ok},
-        guard_notes={"gamma1": f"|sin(theta)| <= {sin_min:g}",
-                     "Delta1": f"|sin(theta)| <= {sin_min:g} or "
-                               f"|gamma| <= {gamma_min:g}",
-                     "delta1": f"|sin(theta)| <= {sin_min:g} or "
-                               f"|gamma| <= {gamma_min:g}"})
+               "delta1": sin_ok & gamma_ok})
 
 
 @dataclass
@@ -266,12 +236,12 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
         raise DegenerateOffset(
             f"constructed offset has a singular indicatrix: {exc}") from exc
 
-    pred = predicted_invariants(a, built.theta, built.theta_star,
-                                gamma_min=gamma_min, sin_min=sin_min)
+    th = built.theta_bar
+    pred = predicted_invariants(a, th, gamma_min=gamma_min, sin_min=sin_min)
 
     interior = np.zeros(a.n, dtype=bool)
     interior[trim:a.n - trim] = True
-    in_band = (built.theta > THETA_BAND) & (built.theta < np.pi - THETA_BAND)
+    in_band = (th.real > THETA_BAND) & (th.real < np.pi - THETA_BAND)
     base_ok = interior & in_band
 
     # Mannheim condition: asymptotic normal of the base = central normal
@@ -296,7 +266,7 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
                                   n_compared=int(np.sum(mask)), note=note))
 
     speed_ratio = off.sigma / a.sigma
-    add("ds1/ds", pred.ds1_ds, speed_ratio)
+    add("ds1/ds", pred.dsbar1_dsbar.real, speed_ratio)
     dsbar_rec_dual = speed_ratio * (off.Delta - a.Delta)
     add("dsbar1/dsbar (dual part)", pred.dsbar1_dsbar.dual, dsbar_rec_dual)
     add("gamma1", pred.gamma1, off.gamma, extra_mask=pred.valid["gamma1"])
@@ -306,12 +276,11 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
     inv = off.invariants()
     add("R1 (real)", pred.R1.real, inv.R.real)
     add("R1 (dual)", pred.R1.dual, inv.R.dual)
-    add("rho1 (angle)", pred.rho1.theta, inv.rho.theta)
-    add("rho1 (distance)", pred.rho1.theta_star, inv.rho.theta_star)
+    add("rho1 (angle)", pred.rho1.real, inv.rho.real)
+    add("rho1 (distance)", pred.rho1.dual, inv.rho.dual)
 
     # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
     # recomputed offset frame.
-    th = DualScalar(built.theta, built.theta_star)
     d0_pred = e1_t.scale(dual_cos(th)) + g1_t.scale(dual_sin(th))
     d0_rec = inv.d0
     add("d0_1 (real)", norm3(d0_pred.real - d0_rec.real), np.zeros(a.n))
@@ -345,11 +314,12 @@ class DevelopabilityEvidence:
     offset_theta_star_valid: np.ndarray
 
 
-def developability_conditions(analysis: SurfaceAnalysis, theta: np.ndarray,
-                              theta_star: np.ndarray,
+def developability_conditions(analysis: SurfaceAnalysis,
+                              theta_bar: DualScalar,
                               gamma_min: float = GAMMA_MIN,
                               sin_min: float = SIN_MIN) -> DevelopabilityEvidence:
     a = analysis
+    theta, theta_star = theta_bar.real, theta_bar.dual
     gamma_ok = np.abs(a.gamma) > gamma_min
     cos_ok = np.abs(np.cos(theta)) > sin_min
     ok = gamma_ok & cos_ok

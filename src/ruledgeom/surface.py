@@ -29,8 +29,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from .dual import (DualAngle, DualScalar, DualVector, cross3, dot3, dual_div,
-                   dual_sqrt, norm3)
+from .dual import (DualScalar, DualVector, cross3, dot3, dual_cos, dual_div,
+                   dual_sin, dual_sqrt, norm3)
 from .errors import DegenerateIndicatrix
 
 # Indicatrix speeds below this mean the director is (locally) constant.
@@ -71,20 +71,21 @@ class SurfaceSpec:
 
 
 class Reparametrization:
-    """Monotone Hermite maps between the native parameter u and the
-    indicatrix arc length s; they back the chain-rule consistency check."""
+    """The native parameter u, the indicatrix arc length s and the speed
+    sigma = ds/du; they back the chain-rule consistency check."""
 
     def __init__(self, u: np.ndarray, s: np.ndarray, sigma: np.ndarray):
-        self.u = u
-        self._s_of_u = CubicHermiteSpline(u, s, sigma)
-        self._u_of_s = CubicHermiteSpline(s, u, 1.0 / sigma)
+        self.u, self.s, self.sigma = u, s, sigma
 
     def chain_rule_residual(self) -> float:
-        """max |ds/du * du/ds - 1| over nodes and interval midpoints."""
+        """max |ds/du * du/ds - 1| over nodes and interval midpoints of the
+        monotone Hermite maps s(u) and u(s)."""
+        s_of_u = CubicHermiteSpline(self.u, self.s, self.sigma)
+        u_of_s = CubicHermiteSpline(self.s, self.u, 1.0 / self.sigma)
         probe = np.concatenate([self.u, 0.5 * (self.u[1:] + self.u[:-1])])
-        ds_du = self._s_of_u.derivative()
-        du_ds = self._u_of_s.derivative()
-        r = ds_du(probe) * du_ds(self._s_of_u(probe)) - 1.0
+        ds_du = s_of_u.derivative()
+        du_ds = u_of_s.derivative()
+        r = ds_du(probe) * du_ds(s_of_u(probe)) - 1.0
         return float(np.max(np.abs(r)))
 
 
@@ -94,13 +95,13 @@ class DualCurvatureInvariants:
     and the unit vector along the dual Darboux axis."""
 
     R: DualScalar        # fields are (n,) arrays
-    rho: DualAngle       # fields are (n,) arrays
+    rho: DualScalar      # fields are (n,) arrays
     d0: DualVector       # fields are (n, 3) arrays
 
     def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
         """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""
-        sin_rho = self.rho.sin()
-        cos_rho = self.rho.cos()
+        sin_rho = dual_sin(self.rho)
+        cos_rho = dual_cos(self.rho)
         cot_rho = dual_div(cos_rho, sin_rho)
         res = [np.abs(sin_rho.real - self.R.real),
                np.abs(sin_rho.dual - self.R.dual),
@@ -133,7 +134,6 @@ class SurfaceAnalysis:
     gamma: np.ndarray
     gamma_dual: np.ndarray
     reparam: Reparametrization
-    analytic_frame: bool
     # raw derivative arrays kept for residual diagnostics
     e_u: np.ndarray = field(repr=False, default=None)
     e_uu: np.ndarray = field(repr=False, default=None)
@@ -235,8 +235,7 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     lam = -dot3(p_u, e_u) / sig2
     c = p + lam[:, None] * e
 
-    analytic = spec.has_analytic_frame
-    if analytic:
+    if spec.has_analytic_frame:
         p_uu = _eval_curve(spec.base_d2, u)
         sig_u = dot3(e_u, e_uu) / sigma
         lam_u = (-(dot3(p_uu, e_u) + dot3(p_u, e_uu)) / sig2
@@ -265,7 +264,7 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         spec=spec, u=u, s=s, s_star=s_star, sigma=sigma, c=c, e=e, t=t, g=g,
         e_star=cross3(c, e), t_star=cross3(c, t), g_star=cross3(c, g),
         Delta=Delta, delta=delta, gamma=gamma, gamma_dual=gamma_dual,
-        reparam=reparam, analytic_frame=analytic,
+        reparam=reparam,
         e_u=e_u, e_uu=e_uu, c_u=c_u)
 
 
@@ -283,7 +282,7 @@ def dual_invariants(analysis: SurfaceAnalysis) -> DualCurvatureInvariants:
 
     e_t, _, g_t = analysis.dual_frame()
     d0 = e_t.scale(cos_rho) + g_t.scale(sin_rho)
-    return DualCurvatureInvariants(R=R, rho=DualAngle(rho, rho_star), d0=d0)
+    return DualCurvatureInvariants(R=R, rho=DualScalar(rho, rho_star), d0=d0)
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,6 @@ class FrameOdeResiduals:
     real_max: float
     dual_max: float
     orthonormality_max: float
-    per_equation: dict
 
 
 def frame_ode_residual(analysis: SurfaceAnalysis,
@@ -310,7 +308,7 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
     h = float(a.u[1] - a.u[0])
     sl = slice(trim, a.n - trim if trim else a.n)
 
-    if a.analytic_frame:
+    if a.spec.has_analytic_frame:
         sig_u = dot3(a.e_u, a.e_uu) / a.sigma
         t_u = a.e_uu / a.sigma[:, None] - a.e_u * (sig_u / (a.sigma ** 2))[:, None]
         g_u = cross3(a.e_u, a.t) + cross3(a.e, t_u)
@@ -355,16 +353,10 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
         dot3(a.e, a.t), dot3(a.t, a.g), dot3(a.e, a.g),
         norm3(a.e) - 1.0, norm3(a.t) - 1.0, norm3(a.g) - 1.0)])
 
-    per = {"e": float(np.max(res_e[sl])), "t": float(np.max(res_t[sl])),
-           "g": float(np.max(res_g[sl])),
-           "e_dual": float(np.max(dres_e[sl])),
-           "t_dual": float(np.max(dres_t[sl])),
-           "g_dual": float(np.max(dres_g[sl]))}
     return FrameOdeResiduals(
-        real_max=max(per["e"], per["t"], per["g"]),
-        dual_max=max(per["e_dual"], per["t_dual"], per["g_dual"]),
-        orthonormality_max=float(ortho),
-        per_equation=per)
+        real_max=max(float(np.max(r[sl])) for r in (res_e, res_t, res_g)),
+        dual_max=max(float(np.max(r[sl])) for r in (dres_e, dres_t, dres_g)),
+        orthonormality_max=float(ortho))
 
 
 def sampled_surface(u: np.ndarray, directors: np.ndarray,
@@ -381,10 +373,8 @@ def sampled_surface(u: np.ndarray, directors: np.ndarray,
     if np.max(np.abs(norms - 1.0)) > DIRECTOR_UNIT_TOL:
         raise ValueError("sampled directors are not unit vectors")
     e = e / norms
-    e_spline = CubicSpline(u, e, axis=0)
-    p_spline = CubicSpline(u, p, axis=0)
     return SurfaceSpec(
-        director=lambda x: e_spline(x), base=lambda x: p_spline(x),
+        director=CubicSpline(u, e, axis=0), base=CubicSpline(u, p, axis=0),
         param_range=(float(u[0]), float(u[-1])), sample_count=len(u),
         grid=u, name=name)
 

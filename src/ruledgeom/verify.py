@@ -120,7 +120,7 @@ def suite_line_correspondence(tol: Tolerances, seed: int) -> list[Check]:
     dist, _ = common_perpendicular(lines[0::2], lines[1::2])
     ang = dual_angle(DualVector(a[0::2], m[0::2]),
                      DualVector(a[1::2], m[1::2]))
-    pair_dev = np.max(np.abs(np.abs(ang.theta_star) - dist))
+    pair_dev = np.max(np.abs(np.abs(ang.dual) - dist))
 
     return [
         _c("lines: |<a,a>-1| and |<a,a*>| of the line image",
@@ -215,7 +215,7 @@ def suite_theorem_offsets(tol: Tolerances) -> list[Check]:
             out.append(_c(f"{label}: predicted vs recomputed {row.name}",
                           dev, tol.theorem_compare))
 
-        th, ths = rep.constructed.theta, rep.constructed.theta_star
+        th, ths = rep.constructed.theta_bar.real, rep.constructed.theta_bar.dual
         ds, dss = np.diff(a.s), np.diff(a.s_star)
         real_law = np.max(np.abs(np.diff(th) / ds + 1.0))
         dual_law = np.max(np.abs(
@@ -233,8 +233,7 @@ def suite_developability(tol: Tolerances) -> list[Check]:
     vanishing distribution parameter itself."""
     spec = catalog.cone(np.pi / 4.0, (0.0, 2.5 / np.sin(np.pi / 4.0)), 2001)
     a = analyze(spec)
-    theta, theta_star = offset_angle(a, 2.8, 0.7)
-    ev = developability_conditions(a, theta, theta_star)
+    ev = developability_conditions(a, offset_angle(a, 2.8, 0.7))
     profile_dev = float(np.max(np.abs(
         ev.offset_theta_star[ev.offset_theta_star_valid])))
     rep = verify_offset(a, OffsetSpec.theorem(2.8, 0.0))

@@ -90,6 +90,44 @@ def test_unknown_tolerance_exits_1(tmp_path, capsys):
                  "--tolerance", "no_such=1"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["offset"], "the following arguments are required: --config"),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["mesh", "--config", "cfg.json", "--v-count", "x"],
+     "argument --v-count: invalid int value: 'x'"),
+    # options no command reads are not accepted
+    (["analyze", "--config", "cfg.json", "--tolerance", "theorem_compare=1"],
+     "unrecognized arguments: --tolerance"),
+    (["mesh", "--config", "cfg.json", "--tolerance", "theorem_compare=1"],
+     "unrecognized arguments: --tolerance"),
+    (["verify", "--out", "/nonexistent/zzz"], "unrecognized arguments: --out"),
+])
+def test_usage_error_exits_1(capsys, argv, message):
+    # exit 2 is reserved for a failed verification
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ruledgeom") and message in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["offset", "--help"])
+    assert exc.value.code == 0
+    assert "--tolerance" in capsys.readouterr().out
+
+
+def test_explicit_out_overrides_config_out_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", out_dir="from_config")
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    assert (tmp_path / "from_config" / "analysis.csv").exists()
+    assert main(["analyze", "--config", str(cfg), "--out", "."]) == 0
+    assert (tmp_path / "analysis.csv").exists()
+
+
 INF, NAN = float("inf"), float("nan")
 OFFSET = {"mode": "constant_angle", "theta": np.pi / 4, "theta_star": 2 * SQ2}
 

@@ -161,7 +161,7 @@ def test_lagrange_identity():
 def test_angle_coincident_lines():
     v = DualVector((0, 1, 0), (0, 0, 0))
     ang = dual_angle(v, v)
-    assert ang.theta == 0.0 and abs(ang.theta_star) <= TOL
+    assert ang.real == 0.0 and abs(ang.dual) <= TOL
 
 
 def test_angle_skew_perpendicular():
@@ -172,8 +172,8 @@ def test_angle_skew_perpendicular():
     p = np.array([0.0, 0.0, d])
     b = DualVector((0, 1, 0), np.cross(p, [0, 1, 0]))
     ang = dual_angle(a, b)
-    assert abs(ang.theta - np.pi / 2) <= TOL
-    assert abs(ang.theta_star - d) <= TOL
+    assert abs(ang.real - np.pi / 2) <= TOL
+    assert abs(ang.dual - d) <= TOL
 
 
 def test_angle_antiparallel():
@@ -181,12 +181,12 @@ def test_angle_antiparallel():
     p = np.array([0.0, 0.0, 1.5])
     b = DualVector((-1, 0, 0), np.cross(p, [-1, 0, 0]))
     ang = dual_angle(a, b)
-    assert abs(ang.theta - np.pi) <= TOL
-    assert abs(ang.theta_star - 1.5) <= TOL
+    assert abs(ang.real - np.pi) <= TOL
+    assert abs(ang.dual - 1.5) <= TOL
 
 
 def test_angle_trig_helpers():
     th = dual_angle(DualVector((1, 0, 0), (0, 0, 0)),
                     DualVector((0, 1, 0), (0, 0, 0)))
-    s, c = th.sin(), th.cos()
+    s, c = dual_sin(th), dual_cos(th)
     assert abs(s.real - 1.0) <= TOL and abs(c.real) <= TOL

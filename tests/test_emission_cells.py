@@ -59,7 +59,7 @@ def _analysis_like(table: np.ndarray) -> tuple[SimpleNamespace,
 
     inv = SimpleNamespace(
         R=SimpleNamespace(real=col["R_real"], dual=col["R_dual"]),
-        rho=SimpleNamespace(theta=col["rho_real"], theta_star=col["rho_dual"]))
+        rho=SimpleNamespace(real=col["rho_real"], dual=col["rho_dual"]))
     return SimpleNamespace(
         u=col["u"], s=col["s"], s_star=col["s_star"], c=xyz("c"), e=xyz("e"),
         t=xyz("t"), g=xyz("g"), Delta=col["Delta"], delta=col["delta"],

@@ -79,7 +79,7 @@ def test_theta_star_matches_common_perpendicular():
     l1, l2 = lines[0::2], lines[1::2]
     dist, _ = common_perpendicular(l1, l2)
     ang = dual_angle(line_to_dual(l1), line_to_dual(l2))
-    assert np.all(np.abs(np.abs(ang.theta_star) - dist) < 1e-9)
+    assert np.all(np.abs(np.abs(ang.dual) - dist) < 1e-9)
 
 
 def _batch_with_parallel_pairs():

@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruledgeom import catalog
+from ruledgeom.config import Tolerances
 from ruledgeom.dual import DualScalar, DualVector, dual_angle, dual_cos, dual_mul, dual_sin
-from ruledgeom.errors import DegenerateOffset, SingularFormula
+from ruledgeom.errors import DegenerateOffset
 from ruledgeom.io import render_offset_report
 from ruledgeom.offsets import (ComparisonRow, OffsetSpec, construct_offset,
                                developability_conditions, offset_angle,
@@ -35,20 +38,20 @@ def hyperboloid_analysis():
 
 def test_profiles_start_at_constants():
     a = cone_analysis()
-    th, ths = offset_angle(a, 1.4, -0.3)
-    assert th[0] == pytest.approx(1.4)
-    assert ths[0] == pytest.approx(-0.3)
+    th = offset_angle(a, 1.4, -0.3)
+    assert th.real[0] == pytest.approx(1.4)
+    assert th.dual[0] == pytest.approx(-0.3)
 
 
 def test_developable_base_has_constant_distance():
     a = cone_analysis()
-    _, ths = offset_angle(a, 2.8, 0.7)
+    ths = offset_angle(a, 2.8, 0.7).dual
     assert np.max(np.abs(ths - 0.7)) < 1e-12
 
 
 def test_saddle_distance_grows_linearly():
     a = saddle_analysis()
-    _, ths = offset_angle(a, 0.0, 0.25)
+    ths = offset_angle(a, 0.0, 0.25).dual
     slope = np.diff(ths) / np.diff(a.u)
     assert np.max(np.abs(slope - SQ2 / 2)) < 1e-6
     assert ths[0] == pytest.approx(0.25)  # s = 0 at the range start
@@ -105,30 +108,32 @@ def test_offset_spec_validation():
 def test_right_offset_predictions():
     a = cone_analysis()
     n = a.n
-    pred = predicted_invariants(a, np.full(n, np.pi / 2), np.zeros(n))
-    assert np.max(np.abs(pred.require("gamma1"))) < 1e-12
+    pred = predicted_invariants(a, DualScalar(np.full(n, np.pi / 2),
+                                              np.zeros(n)))
+    assert pred.valid["gamma1"].all()
+    assert np.max(np.abs(pred.gamma1)) < 1e-12
     assert np.max(np.abs(pred.R1.real - 1.0)) < 1e-12
 
 
 def test_dual_sine_prediction():
     a = cone_analysis()
     n = a.n
-    pred = predicted_invariants(a, np.full(n, np.pi / 4),
-                                np.full(n, 2.0 * SQ2))
+    pred = predicted_invariants(a, DualScalar(np.full(n, np.pi / 4),
+                                              np.full(n, 2.0 * SQ2)))
     assert np.max(np.abs(pred.R1.real - SQ2 / 2)) < 1e-12
     assert np.max(np.abs(pred.R1.dual - 2.0)) < 1e-12
 
 
 def test_singular_formulas_flagged():
     a = saddle_analysis()  # gamma = 0 everywhere
-    th, ths = np.full(a.n, 0.9), np.full(a.n, 0.4)
-    pred = predicted_invariants(a, th, ths)
-    with pytest.raises(SingularFormula):
-        pred.require("Delta1")
-    with pytest.raises(SingularFormula):
-        pred.require("delta1")
+    pred = predicted_invariants(
+        a, DualScalar(np.full(a.n, 0.9), np.full(a.n, 0.4)))
+    for name in ("Delta1", "delta1"):
+        assert not pred.valid[name].any()
+        assert np.isnan(getattr(pred, name)).all()
     # cot(theta) itself stays defined
-    assert np.isfinite(pred.require("gamma1")).all()
+    assert pred.valid["gamma1"].all()
+    assert np.isfinite(pred.gamma1).all()
 
 
 def test_frame_relation_matrix_orthogonal():
@@ -137,7 +142,11 @@ def test_frame_relation_matrix_orthogonal():
     th = DualScalar(0.8, 1.3)
     c, s = dual_cos(th), dual_sin(th)
     zero, one = DualScalar(0.0, 0.0), DualScalar(1.0, 0.0)
-    m = [[c, s, zero], [zero, zero, one], [s, -c, zero]]
+
+    def neg(x):
+        return DualScalar(-x.real, -x.dual)
+
+    m = [[c, s, zero], [zero, zero, one], [s, neg(c), zero]]
 
     def dot(row_a, row_b):
         acc = DualScalar(0.0, 0.0)
@@ -155,9 +164,9 @@ def test_frame_relation_matrix_orthogonal():
     det = (dual_mul(m[0][0], dual_mul(m[1][1], m[2][2]))
            + dual_mul(m[0][1], dual_mul(m[1][2], m[2][0]))
            + dual_mul(m[0][2], dual_mul(m[1][0], m[2][1]))
-           - dual_mul(m[0][2], dual_mul(m[1][1], m[2][0]))
-           - dual_mul(m[0][0], dual_mul(m[1][2], m[2][1]))
-           - dual_mul(m[0][1], dual_mul(m[1][0], m[2][2])))
+           + neg(dual_mul(m[0][2], dual_mul(m[1][1], m[2][0])))
+           + neg(dual_mul(m[0][0], dual_mul(m[1][2], m[2][1])))
+           + neg(dual_mul(m[0][1], dual_mul(m[1][0], m[2][2]))))
     assert abs(det.real - 1.0) < 1e-15 and abs(det.dual) < 1e-15
 
 
@@ -172,10 +181,39 @@ def test_cone_theorem_offset_verifies():
         assert row.deviation is not None, row.name
         assert row.deviation < 1e-3, (row.name, row.deviation)
     # conical curvature of the offset follows cot(theta) pointwise
-    th = rep.constructed.theta
+    th = rep.constructed.theta_bar.real
     inner = slice(2, a.n - 2)
     assert np.max(np.abs(rep.offset_analysis.gamma
                          - np.cos(th) / np.sin(th))[inner]) < 1e-3
+
+
+@st.composite
+def cone_theorem_cases(draw):
+    """Cone and integration constants with theta = -s + c inside
+    [0.3, pi - 0.3] over the whole arc-length span [0, s_max]."""
+    alpha = draw(st.floats(0.35, 1.2))
+    s_max = draw(st.floats(1.6, 2.5))
+    c = draw(st.floats(s_max + 0.3, np.pi - 0.3))
+    c_star = draw(st.floats(-1.5, 1.5))
+    return alpha, s_max, c, c_star
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=cone_theorem_cases())
+def test_theorem_offsets_verify_on_random_cones(case):
+    alpha, s_max, c, c_star = case
+    tol = Tolerances()
+    a = analyze(catalog.cone(alpha, (0.0, s_max / np.sin(alpha)), 2001))
+    rep = verify_offset(a, OffsetSpec.theorem(c, c_star))
+    assert rep.n_valid > 0
+    assert rep.mannheim_residual_real <= tol.mannheim_real
+    assert rep.mannheim_residual_dual <= tol.mannheim_dual
+    for row in rep.rows:
+        assert row.deviation is not None, row.name
+        assert row.deviation <= tol.theorem_compare, (row.name, row.deviation)
+    # the offset's dual spherical radius of curvature is the offset angle
+    theta_bar = rep.constructed.theta_bar
+    assert predicted_invariants(a, theta_bar).rho1 is theta_bar
 
 
 def test_hyperboloid_theorem_offset_verifies():
@@ -189,7 +227,7 @@ def test_hyperboloid_theorem_offset_verifies():
 def test_offset_angle_law_along_theorem_offset():
     a = cone_analysis()
     rep = verify_offset(a, OffsetSpec.theorem(2.8, 0.7))
-    th, ths = rep.constructed.theta, rep.constructed.theta_star
+    th, ths = rep.constructed.theta_bar.real, rep.constructed.theta_bar.dual
     ds, dss = np.diff(a.s), np.diff(a.s_star)
     assert np.max(np.abs(np.diff(th) / ds + 1.0)) < 1e-6
     dual_part = (np.diff(ths) * ds - np.diff(th) * dss) / (ds * ds)
@@ -249,16 +287,15 @@ def test_ruling_angle_recovers_offset_angle():
         built = construct_offset(a, OffsetSpec.constant(theta, theta_star))
         e1_t = DualVector(built.e1, np.cross(built.c1, built.e1))
         ang = dual_angle(e_t, e1_t)
-        assert np.max(np.abs(ang.theta - theta)) < 1e-12
-        assert np.max(np.abs(ang.theta_star - theta_star)) < 1e-12
+        assert np.max(np.abs(ang.real - theta)) < 1e-12
+        assert np.max(np.abs(ang.dual - theta_star)) < 1e-12
 
 
 # --- developability ---
 
 def test_cone_developability_evidence():
     a = cone_analysis()
-    th, ths = offset_angle(a, 2.8, 0.7)
-    ev = developability_conditions(a, th, ths)
+    ev = developability_conditions(a, offset_angle(a, 2.8, 0.7))
     assert ev.base_max_abs_Delta < 1e-8
     assert ev.theta_star_variation < 1e-8
     # delta = 0: flattening distance profile vanishes -> the zero-distance
@@ -270,7 +307,6 @@ def test_cone_developability_evidence():
 
 def test_saddle_distance_profile_not_constant():
     a = saddle_analysis()
-    th, ths = offset_angle(a, 0.0, 0.0)
-    ev = developability_conditions(a, th, ths)
+    ev = developability_conditions(a, offset_angle(a, 0.0, 0.0))
     assert ev.base_max_abs_Delta > 0.4
     assert ev.theta_star_variation == pytest.approx(SQ2, abs=1e-9)

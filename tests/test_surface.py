@@ -263,8 +263,8 @@ def test_invariants_flat_axis():
     inv = dual_invariants(a)
     assert np.max(np.abs(inv.R.real - 1.0)) < 1e-12
     assert np.max(np.abs(inv.R.dual)) < 1e-12
-    assert np.max(np.abs(inv.rho.theta - np.pi / 2)) < 1e-12
-    assert np.max(np.abs(inv.rho.theta_star)) < 1e-12
+    assert np.max(np.abs(inv.rho.real - np.pi / 2)) < 1e-12
+    assert np.max(np.abs(inv.rho.dual)) < 1e-12
     _, _, g_t = a.dual_frame()
     assert np.max(np.abs(inv.d0.real - g_t.real)) < 1e-12
     assert np.max(np.abs(inv.d0.dual - g_t.dual)) < 1e-12
@@ -276,7 +276,7 @@ def test_invariants_unit_curvature():
     inv = dual_invariants(a)
     assert np.max(np.abs(inv.R.real - 1.0 / SQ2)) < 1e-12
     assert np.max(np.abs(inv.R.dual)) < 1e-12
-    assert np.max(np.abs(inv.rho.theta - np.pi / 4)) < 1e-12
+    assert np.max(np.abs(inv.rho.real - np.pi / 4)) < 1e-12
 
 
 def test_radius_identities():
@@ -391,8 +391,8 @@ def test_invariants_are_recomputed_equal():
     a = analyze(catalog.small_circle(0.4, 1.0, (0.0, 5.0), 101))
     first, second = a.invariants(), a.invariants()
     for x, y in [(first.R.real, second.R.real), (first.R.dual, second.R.dual),
-                 (first.rho.theta, second.rho.theta),
-                 (first.rho.theta_star, second.rho.theta_star),
+                 (first.rho.real, second.rho.real),
+                 (first.rho.dual, second.rho.dual),
                  (first.d0.real, second.d0.real),
                  (first.d0.dual, second.d0.dual)]:
         assert np.array_equal(x, y)
