@@ -15,7 +15,7 @@ from .errors import (ConfigError, DegenerateIndicatrix, DegenerateOffset,
                      RuledGeomError)
 from .lines import Line, common_perpendicular, dual_to_line, line_to_dual
 from .surface import (SurfaceAnalysis, SurfaceSpec, analyze, dual_invariants,
-                      frame_ode_residual, sampled_surface, unit_normalized)
+                      frame_ode_residual, sampled_surface)
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,6 @@ __all__ = [
     "NotALine", "PureDualDivisor", "PureDualVector", "RuledGeomError",
     "Line", "common_perpendicular", "dual_to_line", "line_to_dual",
     "SurfaceAnalysis", "SurfaceSpec", "analyze", "dual_invariants",
-    "frame_ode_residual", "sampled_surface", "unit_normalized",
+    "frame_ode_residual", "sampled_surface",
     "__version__",
 ]

@@ -2,33 +2,59 @@
 
 All director/base callables are vectorized over the parameter and carry
 first and second derivatives, so the analysis pipeline runs in its exact
-(analytic) mode on these surfaces.
+(analytic) mode on these surfaces.  They return (n, 3) arrays built as
+transposed views of (3, n) arrays, which the analysis reads without a copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .dual import dot3, norm3
 from .errors import ConfigError
-from .surface import SurfaceSpec, unit_normalized
+from .surface import SurfaceSpec
 
 
 def _xyz(x, y, z):
     return np.stack(np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-        np.asarray(z, dtype=float)), axis=-1)
+        np.asarray(z, dtype=float))).T
 
 
 def _zero3(u):
     u = np.asarray(u, dtype=float)
-    return np.zeros(u.shape + (3,))
+    return np.zeros((3,) + u.shape).T
+
+
+def _unit_normalized(raw, raw_d1, raw_d2):
+    """Normalize a raw space curve to a unit field; returns (fn, d1, d2),
+    the field and its chain-rule derivatives."""
+    def fn(u):
+        r = raw(u).T
+        return (r / norm3(r)).T
+
+    def d1(u):
+        r, r1 = raw(u).T, raw_d1(u).T
+        rho = norm3(r)
+        return (r1 / rho - r * dot3(r, r1) / rho ** 3).T
+
+    def d2(u):
+        r, r1, r2 = raw(u).T, raw_d1(u).T, raw_d2(u).T
+        rho = norm3(r)
+        rr1 = dot3(r, r1)
+        return (r2 / rho
+                - (2.0 * r1 * rr1 + r * (dot3(r1, r1) + dot3(r, r2)))
+                / rho ** 3
+                + 3.0 * r * rr1 ** 2 / rho ** 5).T
+
+    return fn, d1, d2
 
 
 def hyperbolic_paraboloid(param_range=(-1.0, 1.0),
                           sample_count: int = 2001) -> SurfaceSpec:
     """Doubly ruled saddle: base (u/2, u/2, 0), rulings along the
     normalized direction (1/2, -1/2, u)."""
-    director, d1, d2 = unit_normalized(
+    director, d1, d2 = _unit_normalized(
         lambda u: _xyz(0.5, -0.5, u),
         lambda u: _xyz(0.0, 0.0, np.ones_like(np.asarray(u, dtype=float))),
         lambda u: _zero3(u))

@@ -81,7 +81,7 @@ def _tolerance_overrides(pairs: list[str]) -> dict:
 def _load(args) -> RunConfig:
     if args.config is not None:
         return RunConfig.from_file(args.config)
-    return RunConfig(surface={"builtin": "hyperbolic_paraboloid"})
+    return RunConfig()
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -92,8 +92,8 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 def cmd_analyze(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args, cfg)
     analysis = analyze(cfg.build_surface())
+    out = _out_dir(args, cfg)
     path = out / "analysis.csv"
     write_analysis_csv(path, analysis, analysis.invariants())
     print(f"wrote {path} ({analysis.n} samples)")
@@ -105,8 +105,8 @@ def cmd_offset(args) -> int:
     tol = cfg.tolerances.override(_tolerance_overrides(args.tolerance))
     if not cfg.offsets:
         raise RuledGeomError("config declares no offsets")
-    out = _out_dir(args, cfg)
     analysis = analyze(cfg.build_surface())
+    out = _out_dir(args, cfg)
     all_ok = True
     for i, doc in enumerate(cfg.offsets):
         spec = OffsetSpec(**doc)
@@ -127,11 +127,11 @@ def cmd_offset(args) -> int:
 
 def cmd_mesh(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args, cfg)
     if args.v_count < 2:
         raise RuledGeomError("--v-count must be at least 2")
     v_range = [finite_number(v, "--v-range entry") for v in args.v_range]
     analysis = analyze(cfg.build_surface())
+    out = _out_dir(args, cfg)
     base_path = out / "base.obj"
     write_obj(base_path, surface_grid(analysis, v_range, args.v_count))
     print(f"wrote {base_path}")

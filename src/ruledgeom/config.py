@@ -86,9 +86,11 @@ _OFFSET_KEYS = {"mode", "c", "c_star", "theta", "theta_star"}
 
 @dataclass
 class RunConfig:
-    """One surface, any number of offsets, seeded randomness."""
+    """One surface, any number of offsets, seeded randomness.  Only the
+    seed and the tolerances matter to `verify`, so the surface may be
+    left out (None); build_surface then fails."""
 
-    surface: dict
+    surface: dict | None = None
     param_range: tuple[float, float] = (-1.0, 1.0)
     sample_count: int = 2001
     offsets: list = field(default_factory=list)
@@ -105,26 +107,27 @@ class RunConfig:
             raise ConfigError(f"unknown config key(s) {sorted(unknown)}")
 
         surface = doc.get("surface")
-        if not isinstance(surface, dict):
-            raise ConfigError("config requires a single 'surface' object")
-        bad = set(surface) - _SURFACE_KEYS
-        if bad:
-            raise ConfigError(f"unknown surface key(s) {sorted(bad)}")
-        if ("builtin" in surface) == ("sampled_csv" in surface):
-            raise ConfigError(
-                "surface must name exactly one of 'builtin' or 'sampled_csv'")
-        kind = "builtin" if "builtin" in surface else "sampled_csv"
-        if not isinstance(surface[kind], str):
-            raise ConfigError(f"surface {kind!r} must be a string")
-        if kind == "sampled_csv":
-            extra = (set(surface) - {kind}) | (
-                set(doc) & {"param_range", "sample_count"})
-            if extra:
-                raise ConfigError(
-                    f"sampled_csv surfaces take no parameters {sorted(extra)}: "
-                    "the CSV fixes the grid")
-        for k in set(surface) - {kind}:
-            finite_number(surface[k], f"surface {k!r}")
+        if "surface" in doc:   # verify needs none
+            if not isinstance(surface, dict):
+                raise ConfigError("config requires a single 'surface' object")
+            bad = set(surface) - _SURFACE_KEYS
+            if bad:
+                raise ConfigError(f"unknown surface key(s) {sorted(bad)}")
+            if ("builtin" in surface) == ("sampled_csv" in surface):
+                raise ConfigError("surface must name exactly one of "
+                                  "'builtin' or 'sampled_csv'")
+            kind = "builtin" if "builtin" in surface else "sampled_csv"
+            if not isinstance(surface[kind], str):
+                raise ConfigError(f"surface {kind!r} must be a string")
+            if kind == "sampled_csv":
+                extra = (set(surface) - {kind}) | (
+                    set(doc) & {"param_range", "sample_count"})
+                if extra:
+                    raise ConfigError(
+                        "sampled_csv surfaces take no parameters "
+                        f"{sorted(extra)}: the CSV fixes the grid")
+            for k in set(surface) - {kind}:
+                finite_number(surface[k], f"surface {k!r}")
 
         rng = doc.get("param_range", [-1.0, 1.0])
         if (not isinstance(rng, (list, tuple)) or len(rng) != 2):
@@ -198,6 +201,8 @@ class RunConfig:
         return cls.from_dict(doc)
 
     def build_surface(self) -> SurfaceSpec:
+        if self.surface is None:
+            raise ConfigError("config requires a single 'surface' object")
         s = dict(self.surface)
         if "sampled_csv" in s:
             u, e, p = read_sampled_csv(s["sampled_csv"])

@@ -4,8 +4,10 @@ A dual scalar is a + eps*b with eps^2 = 0; a dual vector is a pair of real
 3-vectors (v, v*).  Dual unit vectors encode oriented lines: the real part
 is the line direction, the dual part its moment about the origin.  All
 operations accept either plain floats / (3,) arrays or numpy arrays of
-shape (N,) / (N, 3), broadcasting elementwise, so a whole sample grid can
-be pushed through the algebra at once.
+shape (N,) / (3, N), broadcasting elementwise, so a whole sample grid can
+be pushed through the algebra at once.  Batches of vectors are stored
+component-major: row k of a (3, N) array holds the k-th coordinate of
+every vector, so an (N,) scalar field broadcasts against it directly.
 """
 
 from __future__ import annotations
@@ -90,16 +92,27 @@ def dual_sqrt(x: DualScalar) -> DualScalar:
     return DualScalar(r, x.dual / (2.0 * r))
 
 
+def read_only(x) -> np.ndarray:
+    """x as a read-only float array: a writable array is wrapped in a
+    read-only view, so the caller's own array stays writable."""
+    x = np.asarray(x, dtype=float)
+    if x.flags.writeable:
+        x = x.view()
+        x.flags.writeable = False
+    return x
+
+
 @dataclass(frozen=True)
 class DualVector:
-    """Pair of real 3-vectors (or (N, 3) arrays): direction part + moment part."""
+    """Pair of real 3-vectors (or (3, N) arrays): direction part + moment
+    part, both read-only."""
 
     real: np.ndarray
     dual: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "real", np.asarray(self.real, dtype=float))
-        object.__setattr__(self, "dual", np.asarray(self.dual, dtype=float))
+        object.__setattr__(self, "real", read_only(self.real))
+        object.__setattr__(self, "dual", read_only(self.dual))
 
     def __add__(self, other: "DualVector") -> "DualVector":
         return DualVector(self.real + other.real, self.dual + other.dual)
@@ -111,32 +124,26 @@ class DualVector:
         return DualVector(-self.real, -self.dual)
 
     def scale(self, s: DualScalar) -> "DualVector":
-        """Multiply by a dual scalar (broadcast over trailing xyz axis)."""
-        sr = _col(s.real)
-        sd = _col(s.dual)
-        return DualVector(sr * self.real, sr * self.dual + sd * self.real)
+        """Multiply by a dual scalar ((N,) fields broadcast over (3, N))."""
+        return DualVector(s.real * self.real,
+                          s.real * self.dual + s.dual * self.real)
 
 
-def _col(x):
-    """Shape a scalar field for broadcasting against (..., 3) vectors."""
-    x = np.asarray(x, dtype=float)
-    return x[..., None] if x.ndim else x
-
-
-# Row-wise 3-vector kernels over the last axis of float arrays: (3,) or
-# (..., 3), broadcasting.  They work component by component, without the
-# input copies of np.cross, and reproduce numpy's results bit for bit, down
-# to the sign of a zero and which of two NaN operands a sum passes on.
+# 3-vector kernels over the leading (component) axis of float arrays: (3,)
+# or (3, ...), broadcasting.  They work component by component, without
+# the input copies of np.cross, and reproduce numpy's results bit for bit,
+# down to the sign of a zero and which of two NaN operands a sum passes on.
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b, bitwise equal to np.cross: the same ufunc calls on the same
-    component views (out=... keeps a single vector's parts arrays, not
-    numpy scalars, whose arithmetic can pass on the other NaN)."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    """a x b, bitwise equal to np.cross with axis=0: the same ufunc calls
+    on the same component views ([k, ...] and out=... keep a single
+    vector's parts arrays, not numpy scalars, whose arithmetic can pass on
+    the other NaN)."""
+    a0, a1, a2 = a[0, ...], a[1, ...], a[2, ...]
+    b0, b1, b2 = b[0, ...], b[1, ...], b[2, ...]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    x, y, z = out[..., 0], out[..., 1], out[..., 2]
+    x, y, z = out[0, ...], out[1, ...], out[2, ...]
     np.multiply(a1, b2, out=x)
     tmp = np.multiply(a2, b1, out=...)
     x -= tmp
@@ -150,20 +157,20 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dot3(u: np.ndarray, v: np.ndarray):
-    """<u, v>, bitwise equal to np.sum(u * v, axis=-1)."""
+    """<u, v>, bitwise equal to np.sum(u * v, axis=0)."""
     p = u * v
     if p.size == 3:
-        # One row: numpy runs its reduction loop, which passes on a
+        # One vector: numpy runs its reduction loop, which passes on a
         # different NaN than the elementwise adds below would.
-        return np.add.reduce(p, axis=-1)
-    out = p[..., 0] + p[..., 1]
-    out += p[..., 2]
+        return np.add.reduce(p, axis=0)
+    out = p[0] + p[1]
+    out += p[2]
     out += 0.0   # np.sum starts from +0.0, so a sum of -0.0 terms is +0.0
     return out
 
 
 def norm3(u: np.ndarray):
-    """|u|, bitwise equal to numpy.linalg.norm with axis=-1."""
+    """|u|, bitwise equal to numpy.linalg.norm with axis=0."""
     return np.sqrt(dot3(u, u))
 
 
@@ -190,8 +197,7 @@ def dual_norm(a: DualVector) -> DualScalar:
 def dual_normalize(a: DualVector) -> DualVector:
     """Rescale so the dual norm is exactly 1 + eps*0."""
     n = dual_norm(a)
-    nr = _col(n.real)
-    nd = _col(n.dual)
+    nr, nd = n.real, n.dual
     # v / (n + eps n*) expanded with eps^2 = 0
     return DualVector(a.real / nr, a.dual / nr - a.real * nd / (nr * nr))
 
@@ -215,14 +221,10 @@ def dual_angle(a: DualVector, b: DualVector) -> DualScalar:
     sin_real = np.atleast_1d(sin_real)
     cos_real = np.atleast_1d(np.asarray(cos_bar.real, dtype=float))
     cos_dual = np.atleast_1d(np.asarray(cos_bar.dual, dtype=float))
-    cr = np.atleast_2d(cross.real)
-    cd = np.atleast_2d(cross.dual)
-    ar_dual = np.atleast_2d(a.dual)
-    br_dual = np.atleast_2d(b.dual)
 
     parallel = sin_real < PARALLEL_SIN_EPS
     safe_sin = np.where(parallel, 1.0, sin_real)
-    sin_dual = dot3(cr, cd) / safe_sin
+    sin_dual = dot3(cross.real, cross.dual) / safe_sin
 
     theta = np.arctan2(sin_real, cos_real)
     # d(atan2(s, c)) with s^2 + c^2 = 1 for unit inputs
@@ -230,8 +232,8 @@ def dual_angle(a: DualVector, b: DualVector) -> DualScalar:
 
     if np.any(parallel):
         same = cos_real > 0.0
-        dist_same = norm3(br_dual - ar_dual)
-        dist_anti = norm3(br_dual + ar_dual)
+        dist_same = norm3(b.dual - a.dual)
+        dist_anti = norm3(b.dual + a.dual)
         theta = np.where(parallel, np.where(same, 0.0, np.pi), theta)
         theta_star = np.where(parallel, np.where(same, dist_same, dist_anti),
                               theta_star)

@@ -42,12 +42,12 @@ def write_analysis_csv(path, analysis: SurfaceAnalysis,
                        inv: DualCurvatureInvariants) -> None:
     """One row per sample with the frame, scalar invariants and the dual
     curvature columns, taken from `inv`, the analysis's invariants()."""
-    cols = np.column_stack([
+    cols = np.vstack([
         analysis.u, analysis.s, analysis.s_star,
         analysis.c, analysis.e, analysis.t, analysis.g,
         analysis.Delta, analysis.delta, analysis.gamma, analysis.gamma_dual,
         inv.R.real, inv.R.dual, inv.rho.real, inv.rho.dual,
-    ])
+    ]).T
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(ANALYSIS_COLUMNS) + "\n")
         _write_rows(fh, ",".join(["%.17g"] * cols.shape[1]) + "\n", len(cols),
@@ -98,11 +98,10 @@ def write_obj(path, grid: np.ndarray) -> None:
 def surface_grid(analysis: SurfaceAnalysis, v_range, v_count: int,
                  e: Optional[np.ndarray] = None,
                  c: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vertex grid phi(u_i, v_j) = c(u_i) + v_j e(u_i) on the sample grid."""
-    if e is None:
-        e = analysis.e
-    if c is None:
-        c = analysis.c
+    """Vertex grid phi(u_i, v_j) = c(u_i) + v_j e(u_i) on the sample grid,
+    from (3, n) fields e and c, as an (n, n_v, 3) array."""
+    e = (analysis.e if e is None else e).T
+    c = (analysis.c if c is None else c).T
     v = np.linspace(float(v_range[0]), float(v_range[1]), int(v_count))
     return c[:, None, :] + v[None, :, None] * e[:, None, :]
 

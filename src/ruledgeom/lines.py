@@ -5,8 +5,9 @@ unit vector (d, p x d); the moment p x d does not depend on the choice of
 p on the line.  The inverse map recovers the line with foot point d x m,
 the point of the line nearest the origin.
 
-Every function takes one line ((3,) fields) or a batch of N lines ((N, 3)
-fields); per-line scalars are Python floats for one line, (N,) arrays else.
+Every function takes one line ((3,) fields) or a batch of N lines ((3, N)
+fields, one row per coordinate, like every vector batch of the package);
+per-line scalars are Python floats for one line, (N,) arrays else.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ LINE_CONSTRAINT_TOL = 1e-9
 
 
 def row_dot(a: np.ndarray, b: np.ndarray):
-    """<a, b> over the last axis, bitwise equal to the 1-D `a @ b` of
-    each row (a stacked matmul reduces each row like a 1-D dot)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """<a, b> of (3,) or (3, N) vectors, bitwise equal to each 1-D `a @ b`
+    (a stacked matmul over the (N, 3) transposes reduces rows that way)."""
+    return (a.T[..., None, :] @ b.T[..., :, None])[..., 0, 0]
 
 
 def _row_norm(a: np.ndarray):
-    """|a| over the last axis, bitwise equal to 1-D np.linalg.norm."""
+    """|a| of (3,) or (3, N) vectors, bitwise equal to 1-D np.linalg.norm."""
     return np.sqrt(row_dot(a, a))
 
 
@@ -49,7 +50,7 @@ class Line:
     def __post_init__(self):
         p = np.asarray(self.point, dtype=float)
         d = np.asarray(self.direction, dtype=float)
-        n = _row_norm(d)[..., None]
+        n = _row_norm(d)
         if np.any(n < 1e-12):
             raise ValueError("line direction must be nonzero")
         d = np.where(np.abs(n - 1.0) > 1e-12, d / n, d)  # unit: keep bits
@@ -58,9 +59,10 @@ class Line:
 
     def __getitem__(self, rows) -> "Line":
         """The lines of a batch selected by `rows` (an index or slice)."""
-        return Line(self.point[rows], self.direction[rows])
+        return Line(self.point[:, rows], self.direction[:, rows])
 
     def distance_to_point(self, q):
+        """Distance to the point q ((3,), or (3, N) for a batch)."""
         q = np.asarray(q, dtype=float)
         return _scalar(_row_norm(cross3(q - self.point, self.direction)))
 
@@ -104,15 +106,15 @@ def common_perpendicular(l1: Line, l2: Line):
     e = row_dot(e2, w)
     t1 = (b * e - d) / denom
     t2 = np.where(parallel, e, (e - b * d) / denom)
-    f1 = np.where(parallel[..., None], l1.point, l1.point + t1[..., None] * e1)
-    f2 = l2.point + t2[..., None] * e2
+    f1 = np.where(parallel, l1.point, l1.point + t1 * e1)
+    f2 = l2.point + t2 * e2
     return _scalar(_row_norm(f1 - f2)), (f1, f2)
 
 
 def sample_lines(rng: np.random.Generator, count: int) -> Line:
     """A batch of random oriented lines for property suites: directions
     uniform on the sphere, points uniform in [-10, 10]^3."""
-    dirs = rng.normal(size=(count, 3))
-    dirs /= norm3(dirs)[..., None]
-    pts = rng.uniform(-10.0, 10.0, size=(count, 3))
+    dirs = rng.normal(size=(count, 3)).T
+    dirs /= norm3(dirs)
+    pts = rng.uniform(-10.0, 10.0, size=(count, 3)).T
     return Line(point=pts, direction=dirs)

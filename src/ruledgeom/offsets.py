@@ -30,7 +30,7 @@ from scipy.interpolate import CubicSpline
 
 from .dual import DualScalar, cross3, dual_cos, dual_sin, norm3
 from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
-from .surface import (DEGENERATE_SIGMA, DualCurvatureInvariants,
+from .surface import (DEGENERATE_SIGMA, END_TRIM, DualCurvatureInvariants,
                       SurfaceAnalysis, SurfaceSpec, analyze)
 
 # Guard bands for the closed-form offset invariants (they divide by gamma
@@ -79,7 +79,7 @@ class ConstructedOffset:
 
     surface: SurfaceSpec
     theta_bar: DualScalar   # dual offset angle; fields are (n,) arrays
-    e1: np.ndarray
+    e1: np.ndarray          # read-only (3, n), like the analysis's fields
     c1: np.ndarray
     transport_residual: float
     is_identity: bool
@@ -103,10 +103,10 @@ def construct_offset(analysis: SurfaceAnalysis,
         th = offset_angle(a, spec.c, spec.c_star)
     else:
         th = DualScalar(np.full(a.n, spec.theta), np.full(a.n, spec.theta_star))
-    ct, st = np.cos(th.real)[:, None], np.sin(th.real)[:, None]
-    e1 = ct * a.e + st * a.t
-    e1 /= norm3(e1)[..., None]
-    c1 = a.c + th.dual[:, None] * a.g
+    e1 = np.cos(th.real) * a.e + np.sin(th.real) * a.t
+    e1 /= norm3(e1)
+    c1 = a.c + th.dual * a.g
+    e1.flags.writeable = c1.flags.writeable = False
 
     # dual part of the rotated dual ruling must equal c1 x e1
     e_t, t_t, _ = a.dual_frame()
@@ -114,14 +114,15 @@ def construct_offset(analysis: SurfaceAnalysis,
     transport = float(np.max(norm3(e1_tilde.dual - cross3(c1, e1))))
 
     h = float(a.u[1] - a.u[0])
-    sigma1 = norm3(np.gradient(e1, h, axis=0, edge_order=2))
+    sigma1 = norm3(np.gradient(e1, h, axis=1, edge_order=2))
     if np.max(sigma1) < DEGENERATE_SIGMA:
         raise DegenerateOffset(
             "offset indicatrix is singular everywhere: the rotated director "
             "does not move (|e1'| = 0, e.g. gamma*sin(theta) = 0 identically)")
 
     surface = SurfaceSpec(
-        director=CubicSpline(a.u, e1, axis=0), base=CubicSpline(a.u, c1, axis=0),
+        director=CubicSpline(a.u, e1.T, axis=0),
+        base=CubicSpline(a.u, c1.T, axis=0),
         param_range=(float(a.u[0]), float(a.u[-1])), sample_count=a.n,
         grid=a.u, name=f"{a.spec.name or 'surface'}+offset[{spec.mode}]")
     identity = bool(np.max(np.abs(th.real)) < 1e-12
@@ -149,9 +150,8 @@ class PredictedInvariants:
     valid: dict
 
 
-def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
-                         gamma_min: float = GAMMA_MIN,
-                         sin_min: float = SIN_MIN) -> PredictedInvariants:
+def predicted_invariants(analysis: SurfaceAnalysis,
+                         theta_bar: DualScalar) -> PredictedInvariants:
     """Evaluate the Mannheim-offset invariant formulas on the base
     analysis: arc-speed ratio gamma*sin(theta) (real and dual), conical
     curvature cot(theta), distribution parameter and striction drift of
@@ -159,8 +159,8 @@ def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
     theta_bar itself."""
     a = analysis
     th = theta_bar
-    gamma_ok = np.abs(a.gamma) > gamma_min
-    sin_ok = np.abs(np.sin(th.real)) > sin_min
+    gamma_ok = np.abs(a.gamma) > GAMMA_MIN
+    sin_ok = np.abs(np.sin(th.real)) > SIN_MIN
 
     sin_bar = dual_sin(th)
     dsbar = a.gamma_bar() * sin_bar
@@ -213,15 +213,13 @@ def _max_at(arr, mask) -> Optional[float]:
 
 
 def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
-                  trim: int = 2, developable_tol: float = 1e-7,
-                  gamma_min: float = GAMMA_MIN,
-                  sin_min: float = SIN_MIN) -> OffsetReport:
+                  developable_tol: float = 1e-7) -> OffsetReport:
     """Construct the offset, rerun the full analysis pipeline on it, and
     tabulate |predicted - recomputed| for every offset invariant.
 
-    Samples are paired by the shared parameter u.  Comparisons skip `trim`
-    samples at each end (one-sided difference stencils), samples inside
-    the singularity guards, and samples where theta leaves (0, pi).
+    Samples are paired by the shared parameter u.  Comparisons skip
+    END_TRIM samples at each end (one-sided difference stencils), samples
+    inside the singularity guards, and samples where theta leaves (0, pi).
     Raises DegenerateOffset for the identity offset and for offsets whose
     indicatrix the pipeline cannot process."""
     a = analysis
@@ -237,10 +235,10 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
             f"constructed offset has a singular indicatrix: {exc}") from exc
 
     th = built.theta_bar
-    pred = predicted_invariants(a, th, gamma_min=gamma_min, sin_min=sin_min)
+    pred = predicted_invariants(a, th)
 
     interior = np.zeros(a.n, dtype=bool)
-    interior[trim:a.n - trim] = True
+    interior[END_TRIM:a.n - END_TRIM] = True
     in_band = (th.real > THETA_BAND) & (th.real < np.pi - THETA_BAND)
     base_ok = interior & in_band
 
@@ -254,12 +252,10 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
     rows: list[ComparisonRow] = []
 
     def add(name, predicted, recomputed, extra_mask=None, note=""):
-        mask = base_ok.copy()
+        mask = base_ok & np.isfinite(predicted)
         if extra_mask is not None:
             mask &= extra_mask
-        finite = np.isfinite(np.asarray(predicted))
-        mask &= finite
-        dev = _max_at(np.asarray(predicted) - np.asarray(recomputed), mask)
+        dev = _max_at(predicted - recomputed, mask)
         if dev is None:
             note = note or "no samples outside guard bands"
         rows.append(ComparisonRow(name=name, deviation=dev,
@@ -315,13 +311,11 @@ class DevelopabilityEvidence:
 
 
 def developability_conditions(analysis: SurfaceAnalysis,
-                              theta_bar: DualScalar,
-                              gamma_min: float = GAMMA_MIN,
-                              sin_min: float = SIN_MIN) -> DevelopabilityEvidence:
+                              theta_bar: DualScalar) -> DevelopabilityEvidence:
     a = analysis
     theta, theta_star = theta_bar.real, theta_bar.dual
-    gamma_ok = np.abs(a.gamma) > gamma_min
-    cos_ok = np.abs(np.cos(theta)) > sin_min
+    gamma_ok = np.abs(a.gamma) > GAMMA_MIN
+    cos_ok = np.abs(np.cos(theta)) > SIN_MIN
     ok = gamma_ok & cos_ok
     with np.errstate(divide="ignore", invalid="ignore"):
         profile = np.where(ok, -(a.delta / a.gamma) * np.tan(theta), np.nan)

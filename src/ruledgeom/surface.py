@@ -30,13 +30,15 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .dual import (DualScalar, DualVector, cross3, dot3, dual_cos, dual_div,
-                   dual_sin, dual_sqrt, norm3)
+                   dual_sin, dual_sqrt, norm3, read_only)
 from .errors import DegenerateIndicatrix
 
 # Indicatrix speeds below this mean the director is (locally) constant.
 DEGENERATE_SIGMA = 1e-9
 # Director samples must be unit vectors within this tolerance.
 DIRECTOR_UNIT_TOL = 1e-9
+# Samples excluded from residuals at each grid end (one-sided stencils).
+END_TRIM = 2
 
 
 @dataclass
@@ -44,7 +46,8 @@ class SurfaceSpec:
     """Parametric description of a ruled surface.
 
     director/base must be vectorized: they map a 1-D array of n parameters
-    to an (n, 3) array.  The *_d1 / *_d2 entries are optional
+    to an (n, 3) array (the analysis stores every vector field transposed,
+    as (3, n)).  The *_d1 / *_d2 entries are optional
     analytic derivative oracles with the same signature; when absent the
     engine falls back to finite differences on the sample grid.  `grid`
     pins the surface to a fixed uniform sample grid (used for surfaces
@@ -96,7 +99,7 @@ class DualCurvatureInvariants:
 
     R: DualScalar        # fields are (n,) arrays
     rho: DualScalar      # fields are (n,) arrays
-    d0: DualVector       # fields are (n, 3) arrays
+    d0: DualVector       # fields are (3, n) arrays
 
     def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
         """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""
@@ -113,7 +116,8 @@ class DualCurvatureInvariants:
 @dataclass(frozen=True)
 class SurfaceAnalysis:
     """Full per-sample state of an analyzed ruled surface (immutable: every
-    array field is a read-only view)."""
+    array field is a read-only view).  Scalar fields are (n,) arrays;
+    vector fields are C-contiguous (3, n) arrays, one row per component."""
 
     spec: SurfaceSpec
     u: np.ndarray
@@ -140,14 +144,10 @@ class SurfaceAnalysis:
     c_u: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        # Views, so that flagging them leaves arrays the caller owns (a
-        # spec's grid, say) writable.
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
-                view = value.view()
-                view.flags.writeable = False
-                object.__setattr__(self, f.name, view)
+                object.__setattr__(self, f.name, read_only(value))
 
     @property
     def n(self) -> int:
@@ -169,21 +169,22 @@ class SurfaceAnalysis:
 
 
 def _eval_curve(fn: Callable, u: np.ndarray) -> np.ndarray:
-    """Evaluate a vectorized curve callable: (n,) parameters -> (n, 3)."""
+    """Evaluate a vectorized curve callable, (n,) parameters -> (n, 3),
+    and return its samples as a C-contiguous (3, n) array."""
     out = np.asarray(fn(u), dtype=float)
     if out.shape != u.shape + (3,):
         raise ValueError(
             f"curve callables must be vectorized, mapping shape {u.shape} to "
             f"{u.shape + (3,)}; got shape {out.shape}")
-    return out
+    return np.ascontiguousarray(out.T)
 
 
 def _fd1(y: np.ndarray, h: float) -> np.ndarray:
-    """Second-order first derivative on a uniform grid (axis 0)."""
+    """Second-order d/du of a (3, n) field on a uniform grid."""
     d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+    d[:, 1:-1] = (y[:, 2:] - y[:, :-2]) / (2.0 * h)
+    d[:, 0] = (-3.0 * y[:, 0] + 4.0 * y[:, 1] - y[:, 2]) / (2.0 * h)
+    d[:, -1] = (3.0 * y[:, -1] - 4.0 * y[:, -2] + y[:, -3]) / (2.0 * h)
     return d
 
 
@@ -233,20 +234,20 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
 
     sig2 = sigma * sigma
     lam = -dot3(p_u, e_u) / sig2
-    c = p + lam[:, None] * e
+    c = p + lam * e
 
     if spec.has_analytic_frame:
         p_uu = _eval_curve(spec.base_d2, u)
         sig_u = dot3(e_u, e_uu) / sigma
         lam_u = (-(dot3(p_uu, e_u) + dot3(p_u, e_uu)) / sig2
                  + 2.0 * dot3(p_u, e_u) * sig_u / (sig2 * sigma))
-        c_u = p_u + lam_u[:, None] * e + lam[:, None] * e_u
+        c_u = p_u + lam_u * e + lam * e_u
     else:
         c_u = _fd1(c, h)
 
-    t = e_u / sigma[:, None]
+    t = e_u / sigma
     g = cross3(e, t)
-    c_s = c_u / sigma[:, None]
+    c_s = c_u / sigma
 
     delta = dot3(c_s, e)
     Delta = dot3(c_s, g)
@@ -259,12 +260,11 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     if np.any(np.diff(s) <= 0.0):
         raise DegenerateIndicatrix("arc length failed to increase strictly")
 
-    reparam = Reparametrization(u, s, sigma)
     return SurfaceAnalysis(
         spec=spec, u=u, s=s, s_star=s_star, sigma=sigma, c=c, e=e, t=t, g=g,
         e_star=cross3(c, e), t_star=cross3(c, t), g_star=cross3(c, g),
         Delta=Delta, delta=delta, gamma=gamma, gamma_dual=gamma_dual,
-        reparam=reparam,
+        reparam=Reparametrization(u, s, sigma),
         e_u=e_u, e_uu=e_uu, c_u=c_u)
 
 
@@ -294,23 +294,21 @@ class FrameOdeResiduals:
     orthonormality_max: float
 
 
-def frame_ode_residual(analysis: SurfaceAnalysis,
-                       trim: int = 2) -> FrameOdeResiduals:
+def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
     """Check the frame evolution de/ds = t, dt/ds = gamma*g - e,
     dg/ds = -gamma*t and its dual counterpart (derivatives taken with
     respect to the dual arc length).
 
     Frame derivatives are formed the same way the pipeline formed the
     frame: from analytic oracles when the spec has them, from grid
-    differences otherwise.  `trim` samples at each end are excluded
-    (one-sided stencils there)."""
+    differences otherwise.  END_TRIM samples at each end are excluded."""
     a = analysis
     h = float(a.u[1] - a.u[0])
-    sl = slice(trim, a.n - trim if trim else a.n)
+    sl = slice(END_TRIM, a.n - END_TRIM)
 
     if a.spec.has_analytic_frame:
         sig_u = dot3(a.e_u, a.e_uu) / a.sigma
-        t_u = a.e_uu / a.sigma[:, None] - a.e_u * (sig_u / (a.sigma ** 2))[:, None]
+        t_u = a.e_uu / a.sigma - a.e_u * (sig_u / (a.sigma ** 2))
         g_u = cross3(a.e_u, a.t) + cross3(a.e, t_u)
         c_u = a.c_u
     else:
@@ -319,13 +317,12 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
         c_u = a.c_u
 
     # real parts evolve in s
-    e_s = a.e_u / a.sigma[:, None]
-    t_s = t_u / a.sigma[:, None]
-    g_s = g_u / a.sigma[:, None]
-    gam = a.gamma[:, None]
+    e_s = a.e_u / a.sigma
+    t_s = t_u / a.sigma
+    g_s = g_u / a.sigma
     res_e = norm3(e_s - a.t)
-    res_t = norm3(t_s - (gam * a.g - a.e))
-    res_g = norm3(g_s + gam * a.t)
+    res_t = norm3(t_s - (a.gamma * a.g - a.e))
+    res_g = norm3(g_s + a.gamma * a.t)
 
     # dual parts evolve in the dual arc length: divide by sigma*(1 + eps*Delta)
     e_t, t_t, g_t = a.dual_frame()
@@ -361,55 +358,21 @@ def frame_ode_residual(analysis: SurfaceAnalysis,
 
 def sampled_surface(u: np.ndarray, directors: np.ndarray,
                     bases: np.ndarray, name: str = "sampled") -> SurfaceSpec:
-    """Build a spec from discrete samples (e.g. re-ingested CSV output).
+    """Build a spec from (n, 3) director and base-point samples, one row
+    per sample (e.g. re-ingested CSV output).
 
     The analysis runs on the given grid, where the callables reproduce the
     samples exactly; off-grid queries use cubic interpolation.  Directors
     are renormalized (17-digit round trips drift below 1e-12)."""
     u = np.asarray(u, dtype=float)
-    e = np.asarray(directors, dtype=float)
-    p = np.asarray(bases, dtype=float)
-    norms = norm3(e)[..., None]
+    e = np.asarray(directors, dtype=float).T
+    norms = norm3(e)
     if np.max(np.abs(norms - 1.0)) > DIRECTOR_UNIT_TOL:
         raise ValueError("sampled directors are not unit vectors")
     e = e / norms
     return SurfaceSpec(
-        director=CubicSpline(u, e, axis=0), base=CubicSpline(u, p, axis=0),
+        director=CubicSpline(u, e.T, axis=0),
+        base=CubicSpline(u, np.asarray(bases, dtype=float), axis=0),
         param_range=(float(u[0]), float(u[-1])), sample_count=len(u),
         grid=u, name=name)
 
-
-def unit_normalized(raw: Callable, raw_d1: Optional[Callable] = None,
-                    raw_d2: Optional[Callable] = None):
-    """Normalize a raw space curve to a unit field, with chain-rule
-    derivatives when the raw derivatives are available.
-
-    Returns (fn, d1, d2); d1 needs raw_d1, d2 needs raw_d1 and raw_d2.
-    """
-    def _n(u):
-        r = np.asarray(raw(u), dtype=float)
-        return r / norm3(r)[..., None]
-
-    d1 = d2 = None
-    if raw_d1 is not None:
-        def d1(u):
-            r = np.asarray(raw(u), dtype=float)
-            r1 = np.asarray(raw_d1(u), dtype=float)
-            rho = norm3(r)[..., None]
-            rr1 = dot3(r, r1)[..., None]
-            return r1 / rho - r * rr1 / rho ** 3
-
-        if raw_d2 is not None:
-            def d2(u):
-                r = np.asarray(raw(u), dtype=float)
-                r1 = np.asarray(raw_d1(u), dtype=float)
-                r2 = np.asarray(raw_d2(u), dtype=float)
-                rho = norm3(r)[..., None]
-                rr1 = dot3(r, r1)[..., None]
-                r1r1 = dot3(r1, r1)[..., None]
-                rr2 = dot3(r, r2)[..., None]
-                return (r2 / rho
-                        - (2.0 * r1 * rr1 + r * (r1r1 + rr2)) / rho ** 3
-                        + 3.0 * r * rr1 ** 2 / rho ** 5)
-
-    return _n, d1, d2

@@ -22,7 +22,7 @@ from .lines import (common_perpendicular, dual_to_line, line_to_dual,
                     row_dot, sample_lines)
 from .offsets import (OffsetSpec, developability_conditions, offset_angle,
                       verify_offset)
-from .surface import SurfaceSpec, analyze, frame_ode_residual
+from .surface import END_TRIM, SurfaceSpec, analyze, frame_ode_residual
 
 SQ2 = np.sqrt(2.0)
 
@@ -42,7 +42,25 @@ def _c(name: str, measured: float, tol: float) -> Check:
     return Check(name, float(measured), float(tol))
 
 
-def suite_dual_algebra(tol: Tolerances, seed: int) -> list[Check]:
+class Analyses(dict):
+    """The catalog analyses of one run, each built on first use and shared
+    by every suite that needs it; a key is (catalog builder name, its
+    arguments), the sample count last."""
+
+    def __missing__(self, key):
+        name, *args = key
+        self[key] = analyze(getattr(catalog, name)(*args))
+        return self[key]
+
+
+SADDLE = ("hyperbolic_paraboloid", (-1.0, 1.0), 2001)
+# ranges chosen so theta = -s + c sweeps [0.3, 2.8]
+THEOREM_CONE = ("cone", np.pi / 4.0, (0.0, 2.5 / np.sin(np.pi / 4.0)), 2001)
+THEOREM_HYPERBOLOID = ("small_circle", np.pi / 6.0, 1.0,
+                       (0.0, 2.5 / np.sin(np.pi / 6.0)), 2001)
+
+
+def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
     """Nilpotency, lifted derivatives against finite differences, the dual
     Lagrange identity, and normalization, on 1000 seeded samples."""
     rng = np.random.default_rng(seed)
@@ -79,8 +97,8 @@ def suite_dual_algebra(tol: Tolerances, seed: int) -> list[Check]:
                   "(relative, h=1e-5)", worst, tol.lift_fd_rel))
 
     def rand_dv():
-        return DualVector(rng.uniform(-2, 2, (n, 3)),
-                          rng.uniform(-2, 2, (n, 3)))
+        return DualVector(rng.uniform(-2, 2, (n, 3)).T,
+                          rng.uniform(-2, 2, (n, 3)).T)
 
     va, vb = rand_dv(), rand_dv()
     cr = dual_cross(va, vb)
@@ -91,10 +109,10 @@ def suite_dual_algebra(tol: Tolerances, seed: int) -> list[Check]:
     out.append(_c("algebra: dual Lagrange identity (dual part)",
                   np.max(np.abs(lhs.dual - rhs.dual)), tol.lagrange))
 
-    dirs = rng.normal(size=(n, 3))
-    dirs /= norm3(dirs)[..., None]
-    vc = DualVector(dirs * rng.uniform(0.5, 3.0, (n, 1)),
-                    rng.uniform(-3, 3, (n, 3)))
+    dirs = rng.normal(size=(n, 3)).T
+    dirs /= norm3(dirs)
+    vc = DualVector(dirs * rng.uniform(0.5, 3.0, (n, 1)).T,
+                    rng.uniform(-3, 3, (n, 3)).T)
     nn = dual_norm(dual_normalize(vc))
     out.append(_c("algebra: dual_normalize yields norm 1 + eps*0",
                   max(np.max(np.abs(nn.real - 1.0)), np.max(np.abs(nn.dual))),
@@ -102,7 +120,7 @@ def suite_dual_algebra(tol: Tolerances, seed: int) -> list[Check]:
     return out
 
 
-def suite_line_correspondence(tol: Tolerances, seed: int) -> list[Check]:
+def suite_line_correspondence(tol, seed, analyses) -> list[Check]:
     """Oriented-line round trip through the dual unit sphere and the
     dual-angle distance against the common-perpendicular oracle, on 1000
     seeded random lines."""
@@ -118,8 +136,8 @@ def suite_line_correspondence(tol: Tolerances, seed: int) -> list[Check]:
     foot = np.max(lines.distance_to_point(back.point))
 
     dist, _ = common_perpendicular(lines[0::2], lines[1::2])
-    ang = dual_angle(DualVector(a[0::2], m[0::2]),
-                     DualVector(a[1::2], m[1::2]))
+    ang = dual_angle(DualVector(a[:, 0::2], m[:, 0::2]),
+                     DualVector(a[:, 1::2], m[:, 1::2]))
     pair_dev = np.max(np.abs(np.abs(ang.dual) - dist))
 
     return [
@@ -133,21 +151,17 @@ def suite_line_correspondence(tol: Tolerances, seed: int) -> list[Check]:
     ]
 
 
-def _saddle(n: int = 2001) -> SurfaceSpec:
-    return catalog.hyperbolic_paraboloid((-1.0, 1.0), n)
-
-
-def suite_saddle_reproduction(tol: Tolerances) -> list[Check]:
+def suite_saddle_reproduction(tol, seed, analyses) -> list[Check]:
     """Closed-form frame of the doubly ruled saddle: constant asymptotic
     normal, vanishing conical curvature and striction drift, distribution
     parameter -(1+2u^2)/2, and the dual ruling at u = 0."""
-    a = analyze(_saddle())
-    g_want = np.array([-SQ2 / 2.0, -SQ2 / 2.0, 0.0])
+    a = analyses[SADDLE]
+    g_want = np.array([[-SQ2 / 2.0], [-SQ2 / 2.0], [0.0]])
     i0 = a.n // 2
     e_tilde, _, _ = a.dual_frame()
     ruling_dev = max(
-        float(np.max(np.abs(e_tilde.real[i0] - np.array([SQ2 / 2, -SQ2 / 2, 0.0])))),
-        float(np.max(np.abs(e_tilde.dual[i0]))))
+        float(np.max(np.abs(e_tilde.real[:, i0] - [SQ2 / 2, -SQ2 / 2, 0]))),
+        float(np.max(np.abs(e_tilde.dual[:, i0]))))
     return [
         _c("saddle: asymptotic normal constant (-sqrt2/2, -sqrt2/2, 0)",
            np.max(np.abs(a.g - g_want)), tol.example_g),
@@ -162,18 +176,18 @@ def suite_saddle_reproduction(tol: Tolerances) -> list[Check]:
     ]
 
 
-def suite_catalog_offsets(tol: Tolerances) -> list[Check]:
+def suite_catalog_offsets(tol, seed, analyses) -> list[Check]:
     """The two constant-angle saddle offsets land on the translated
     striction lines (u/2-4, u/2-4, 0) and (u/2-2, u/2-2, 0), both as
     constructed and as independently recomputed."""
-    a = analyze(_saddle())
+    a = analyses[SADDLE]
     out = []
     for label, spec, shift in [
             ("oriented, theta*=4*sqrt2", OffsetSpec.constant(0.0, 4.0 * SQ2), 4.0),
             ("theta=pi/4, theta*=2*sqrt2",
              OffsetSpec.constant(np.pi / 4.0, 2.0 * SQ2), 2.0)]:
         want = np.stack([a.u / 2.0 - shift, a.u / 2.0 - shift,
-                         np.zeros_like(a.u)], axis=1)
+                         np.zeros_like(a.u)])
         rep = verify_offset(a, spec)
         out.append(_c(f"saddle offset ({label}): constructed striction line",
                       np.max(np.abs(rep.constructed.c1 - want)),
@@ -184,27 +198,18 @@ def suite_catalog_offsets(tol: Tolerances) -> list[Check]:
     return out
 
 
-def _theorem_cases() -> list[tuple[str, SurfaceSpec, float, float]]:
-    # ranges chosen so theta = -s + c sweeps [0.3, 2.8]
-    return [
-        ("cone(alpha=pi/4)",
-         catalog.cone(np.pi / 4.0, (0.0, 2.5 / np.sin(np.pi / 4.0)), 2001),
-         2.8, 0.7),
-        ("small_circle(beta=pi/6)",
-         catalog.small_circle(np.pi / 6.0, 1.0,
-                              (0.0, 2.5 / np.sin(np.pi / 6.0)), 2001),
-         2.8, 1.0),
-    ]
+THEOREM_CASES = [("cone(alpha=pi/4)", THEOREM_CONE, 2.8, 0.7),
+                 ("small_circle(beta=pi/6)", THEOREM_HYPERBOLOID, 2.8, 1.0)]
 
 
-def suite_theorem_offsets(tol: Tolerances) -> list[Check]:
+def suite_theorem_offsets(tol, seed, analyses) -> list[Check]:
     """Theorem-consistent offsets on the cone and the one-sheet
     hyperboloid: the Mannheim frame condition, every predicted invariant
     against its recomputation, and the differential law
     d(theta~)/d(s~) = -1 + eps*0."""
     out = []
-    for label, spec, c, c_star in _theorem_cases():
-        a = analyze(spec)
+    for label, key, c, c_star in THEOREM_CASES:
+        a = analyses[key]
         rep = verify_offset(a, OffsetSpec.theorem(c, c_star))
         out.append(_c(f"{label}: mannheim residual |g~-t1~| (real)",
                       rep.mannheim_residual_real, tol.mannheim_real))
@@ -226,13 +231,12 @@ def suite_theorem_offsets(tol: Tolerances) -> list[Check]:
     return out
 
 
-def suite_developability(tol: Tolerances) -> list[Check]:
+def suite_developability(tol, seed, analyses) -> list[Check]:
     """Developability both ways on the cone: vanishing distribution
     parameter comes with a constant offset distance, and the offset built
     with the flattening profile theta* = -(delta/gamma) tan(theta) has a
     vanishing distribution parameter itself."""
-    spec = catalog.cone(np.pi / 4.0, (0.0, 2.5 / np.sin(np.pi / 4.0)), 2001)
-    a = analyze(spec)
+    a = analyses[THEOREM_CONE]
     ev = developability_conditions(a, offset_angle(a, 2.8, 0.7))
     profile_dev = float(np.max(np.abs(
         ev.offset_theta_star[ev.offset_theta_star_valid])))
@@ -251,15 +255,14 @@ def suite_developability(tol: Tolerances) -> list[Check]:
 
 def _pipeline_checks(label: str, a, tol: Tolerances,
                      ode_tol: float) -> list[Check]:
-    trim = slice(2, a.n - 2)
+    trim = slice(END_TRIM, a.n - END_TRIM)
     e_tilde, t_tilde, _ = a.dual_frame()
     ee = dual_dot(e_tilde, e_tilde)
     unit_dev = max(np.max(np.abs(ee.real - 1.0)), np.max(np.abs(ee.dual)))
 
-    c_s = a.c_u / a.sigma[:, None]
+    c_s = a.c_u / a.sigma
     ortho = np.max(np.abs(dot3(c_s, a.t)[trim]))
-    decomp = np.max(norm3(
-        (c_s - a.delta[:, None] * a.e - a.Delta[:, None] * a.g)[trim]))
+    decomp = np.max(norm3(c_s - a.delta * a.e - a.Delta * a.g)[trim])
 
     ds, dss = np.diff(a.s), np.diff(a.s_star)
     mid_Delta = 0.5 * (a.Delta[1:] + a.Delta[:-1])
@@ -289,25 +292,25 @@ def _pipeline_checks(label: str, a, tol: Tolerances,
     ]
 
 
-def suite_pipeline(tol: Tolerances) -> list[Check]:
+def suite_pipeline(tol, seed, analyses) -> list[Check]:
     """Analysis-pipeline invariants across the catalog, the sampled
     (no-oracle) path, and invariance of the analysis under moving the
     base curve along the rulings."""
     out = []
-    analyses = {
-        "saddle": analyze(_saddle()),
-        "cone": analyze(catalog.cone(np.pi / 4.0, (0.0, 3.0), 2001)),
-        "hyperboloid": analyze(
-            catalog.small_circle(np.pi / 6.0, 1.0, (0.0, 5.0), 2001)),
-        "helicoid": analyze(catalog.helicoid(0.4, (0.0, 2.0 * np.pi), 2001)),
-    }
-    for label, a in analyses.items():
-        out.extend(_pipeline_checks(label, a, tol, tol.frame_ode_analytic))
+    for label, key in [
+            ("saddle", SADDLE),
+            ("cone", ("cone", np.pi / 4.0, (0.0, 3.0), 2001)),
+            ("hyperboloid", ("small_circle", np.pi / 6.0, 1.0, (0.0, 5.0),
+                             2001)),
+            ("helicoid", ("helicoid", 0.4, (0.0, 2.0 * np.pi), 2001))]:
+        out.extend(_pipeline_checks(label, analyses[key], tol,
+                                    tol.frame_ode_analytic))
 
-    sampled = _saddle()
-    sampled = SurfaceSpec(director=sampled.director, base=sampled.base,
-                          param_range=sampled.param_range,
-                          sample_count=sampled.sample_count,
+    base = analyses[SADDLE]
+    saddle = base.spec
+    sampled = SurfaceSpec(director=saddle.director, base=saddle.base,
+                          param_range=saddle.param_range,
+                          sample_count=saddle.sample_count,
                           name="saddle-sampled")
     a = analyze(sampled)
     ode = frame_ode_residual(a)
@@ -316,9 +319,7 @@ def suite_pipeline(tol: Tolerances) -> list[Check]:
     out.append(_c("saddle (no oracles): frame evolution residual (dual)",
                   ode.dual_max, tol.frame_ode_sampled))
 
-    base = analyses["saddle"]
-    shifted = _shifted_base_saddle()
-    b = analyze(shifted)
+    b = analyze(_shifted_base_saddle(saddle))
     inv_dev = max(float(np.max(np.abs(b.c - base.c))),
                   float(np.max(np.abs(b.Delta - base.Delta))),
                   float(np.max(np.abs(b.delta - base.delta))),
@@ -329,9 +330,8 @@ def suite_pipeline(tol: Tolerances) -> list[Check]:
     return out
 
 
-def _shifted_base_saddle() -> SurfaceSpec:
-    """Saddle with base p(u) + mu(u) e(u), mu = 0.3 sin(2u) + 0.2."""
-    s = _saddle()
+def _shifted_base_saddle(s: SurfaceSpec) -> SurfaceSpec:
+    """Saddle s with base p(u) + mu(u) e(u), mu = 0.3 sin(2u) + 0.2."""
 
     def mu(u):
         return 0.3 * np.sin(2.0 * np.asarray(u, float)) + 0.2
@@ -342,17 +342,19 @@ def _shifted_base_saddle() -> SurfaceSpec:
     def mu2(u):
         return -1.2 * np.sin(2.0 * np.asarray(u, float))
 
+    # (n, 3) callables, as SurfaceSpec requires, combining the saddle's
+    # (3, n) transposes
     def base(u):
-        return s.base(u) + mu(u)[..., None] * s.director(u)
+        return (s.base(u).T + mu(u) * s.director(u).T).T
 
     def base_d1(u):
-        return (s.base_d1(u) + mu1(u)[..., None] * s.director(u)
-                + mu(u)[..., None] * s.director_d1(u))
+        return (s.base_d1(u).T + mu1(u) * s.director(u).T
+                + mu(u) * s.director_d1(u).T).T
 
     def base_d2(u):
-        return (s.base_d2(u) + mu2(u)[..., None] * s.director(u)
-                + 2.0 * mu1(u)[..., None] * s.director_d1(u)
-                + mu(u)[..., None] * s.director_d2(u))
+        return (s.base_d2(u).T + mu2(u) * s.director(u).T
+                + 2.0 * mu1(u) * s.director_d1(u).T
+                + mu(u) * s.director_d2(u).T).T
 
     return SurfaceSpec(director=s.director, director_d1=s.director_d1,
                        director_d2=s.director_d2, base=base, base_d1=base_d1,
@@ -360,25 +362,28 @@ def _shifted_base_saddle() -> SurfaceSpec:
                        sample_count=s.sample_count, name="saddle-shifted-base")
 
 
+# (title, suite); a suite takes (tol: Tolerances, seed: int, Analyses)
 SUITES = [
-    ("dual algebra", lambda tol, seed: suite_dual_algebra(tol, seed)),
-    ("line correspondence", lambda tol, seed: suite_line_correspondence(tol, seed)),
-    ("saddle reproduction", lambda tol, seed: suite_saddle_reproduction(tol)),
-    ("catalog offsets", lambda tol, seed: suite_catalog_offsets(tol)),
-    ("theorem offsets", lambda tol, seed: suite_theorem_offsets(tol)),
-    ("developability", lambda tol, seed: suite_developability(tol)),
-    ("pipeline properties", lambda tol, seed: suite_pipeline(tol)),
+    ("dual algebra", suite_dual_algebra),
+    ("line correspondence", suite_line_correspondence),
+    ("saddle reproduction", suite_saddle_reproduction),
+    ("catalog offsets", suite_catalog_offsets),
+    ("theorem offsets", suite_theorem_offsets),
+    ("developability", suite_developability),
+    ("pipeline properties", suite_pipeline),
 ]
 
 
 def run_all(tol: Tolerances, seed: int) -> tuple[str, int]:
-    """Run every suite; returns (report text, number of failed checks)."""
+    """Run every suite, sharing one Analyses among them; returns (report
+    text, number of failed checks)."""
+    analyses = Analyses()
     lines = []
     failed = 0
     total = 0
     for title, fn in SUITES:
         lines.append(f"[{title}]")
-        for check in fn(tol, seed):
+        for check in fn(tol, seed, analyses):
             total += 1
             status = "PASS" if check.passed else "FAIL"
             if not check.passed:

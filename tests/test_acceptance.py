@@ -7,9 +7,10 @@ tolerances).
 
 import time
 
+from ruledgeom import offsets, verify
 from ruledgeom.cli import main
 from ruledgeom.config import Tolerances
-from ruledgeom.verify import (run_all, suite_catalog_offsets,
+from ruledgeom.verify import (Analyses, run_all, suite_catalog_offsets,
                               suite_developability, suite_dual_algebra,
                               suite_line_correspondence,
                               suite_saddle_reproduction,
@@ -32,7 +33,7 @@ def _gate(num: int, description: str, checks, extra: str = ""):
 
 def test_criterion_1_dual_algebra_laws():
     t0 = time.perf_counter()
-    checks = suite_dual_algebra(TOL, SEED)
+    checks = suite_dual_algebra(TOL, SEED, Analyses())
     elapsed = time.perf_counter() - t0
     _gate(1, "dual algebra laws on 1000 seeded samples "
              "(nilpotency, lift vs finite differences, Lagrange identity)",
@@ -43,22 +44,22 @@ def test_criterion_1_dual_algebra_laws():
 def test_criterion_2_line_round_trip():
     _gate(2, "oriented-line round trip and dual-angle distance oracle "
              "on 1000 seeded lines",
-          suite_line_correspondence(TOL, SEED))
+          suite_line_correspondence(TOL, SEED, Analyses()))
 
 
 def test_criterion_3_saddle_reproduction():
     _gate(3, "saddle reproduction: frame vector, invariants, dual ruling",
-          suite_saddle_reproduction(TOL))
+          suite_saddle_reproduction(TOL, SEED, Analyses()))
 
 
 def test_criterion_4_catalog_offsets():
     _gate(4, "constant-angle saddle offsets land on the translated "
              "striction lines (1e-9)",
-          suite_catalog_offsets(TOL))
+          suite_catalog_offsets(TOL, SEED, Analyses()))
 
 
 def test_criterion_5_theorem_suite():
-    checks = [c for c in suite_theorem_offsets(TOL)
+    checks = [c for c in suite_theorem_offsets(TOL, SEED, Analyses())
               if "d(theta" not in c.name]
     _gate(5, "theorem-consistent offsets on cone(pi/4) and "
              "small_circle(pi/6): Mannheim residual and all predicted "
@@ -67,7 +68,8 @@ def test_criterion_5_theorem_suite():
 
 
 def test_criterion_6_offset_angle_differential_law():
-    checks = [c for c in suite_theorem_offsets(TOL) if "d(theta" in c.name]
+    checks = [c for c in suite_theorem_offsets(TOL, SEED, Analyses())
+              if "d(theta" in c.name]
     assert len(checks) == 4
     _gate(6, "d(theta~)/d(s~) = -1 + eps*0 along every theorem-consistent "
              "offset (1e-6)",
@@ -77,7 +79,7 @@ def test_criterion_6_offset_angle_differential_law():
 def test_criterion_7_developability():
     _gate(7, "developability both ways on the cone: constant offset "
              "distance and the flattening profile",
-          suite_developability(TOL))
+          suite_developability(TOL, SEED, Analyses()))
 
 
 def test_criterion_8_verify_command_runtime(capsys):
@@ -97,3 +99,26 @@ def test_verify_report_is_seed_deterministic():
     a, failed_a = run_all(TOL, SEED)
     b, failed_b = run_all(TOL, SEED)
     assert a == b and failed_a == failed_b == 0
+
+
+def test_verify_builds_each_catalog_analysis_once(monkeypatch):
+    """The saddle serves three suites and the theorem cone two, but each
+    is analyzed once per run: 8 surfaces, plus the 5 offsets that
+    verify_offset re-analyzes."""
+    calls = []
+    analyze = verify.analyze
+
+    def counted(spec):
+        calls.append((spec.name, spec.param_range))
+        return analyze(spec)
+
+    for module in (verify, offsets):
+        monkeypatch.setattr(module, "analyze", counted)
+    text, failed = run_all(TOL, SEED)
+    assert failed == 0
+    assert len(calls) == 13
+    assert calls.count(("hyperbolic_paraboloid", verify.SADDLE[1])) == 1
+    cone = verify.THEOREM_CONE
+    assert calls.count((f"cone(alpha={cone[1]:g})", cone[2])) == 1
+    monkeypatch.undo()
+    assert run_all(TOL, SEED)[0] == text

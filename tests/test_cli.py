@@ -328,6 +328,29 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert "FAIL" not in first
 
 
+def test_verify_config_needs_no_surface(tmp_path, capsys):
+    """verify reads only the seed and the tolerances from a config."""
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"seed": 3}))
+    full = write_config(tmp_path / "full.json", seed=3)
+    assert main(["verify", "--config", str(bare)]) == 0
+    out = capsys.readouterr().out
+    assert main(["verify", "--config", str(full)]) == 0
+    assert out == capsys.readouterr().out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", ["analyze", "offset", "mesh"])
+def test_commands_that_build_a_surface_need_one(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "offsets": [OFFSET]}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config requires a single 'surface' object\n"
+    assert not out.exists()
+
+
 def test_verify_unattainable_tolerance_exits_2(capsys):
     assert main(["verify", "--tolerance", "frame_ode_sampled=1e-15"]) == 2
     out = capsys.readouterr().out

@@ -54,8 +54,8 @@ def _analysis_like(table: np.ndarray) -> tuple[SimpleNamespace,
     reads, with `table`'s columns in ANALYSIS_COLUMNS order."""
     col = dict(zip(ANALYSIS_COLUMNS, table.T))
 
-    def xyz(name):
-        return np.column_stack([col[f"{name}_{k}"] for k in "xyz"])
+    def xyz(name):   # (3, n), as the analysis stores vector fields
+        return np.stack([col[f"{name}_{k}"] for k in "xyz"])
 
     inv = SimpleNamespace(
         R=SimpleNamespace(real=col["R_real"], dual=col["R_dual"]),

@@ -86,8 +86,8 @@ def _batch_with_parallel_pairs():
     """Ten random line pairs; pair 1 is parallel, pair 2 antiparallel."""
     lines = sample_lines(np.random.default_rng(44), 20)
     d = lines.direction.copy()
-    d[3] = d[2]
-    d[5] = -d[4]
+    d[:, 3] = d[:, 2]
+    d[:, 5] = -d[:, 4]
     return Line(lines.point, d)
 
 
@@ -100,12 +100,13 @@ def test_batched_line_layer_equals_row_by_row_bitwise():
     lines = _batch_with_parallel_pairs()
     v = line_to_dual(lines)
     back = dual_to_line(v)
-    for i in range(len(lines.point)):
+    for i in range(lines.point.shape[1]):
         vi = line_to_dual(lines[i])
-        assert _same_bits(v.real[i], vi.real) and _same_bits(v.dual[i], vi.dual)
+        assert (_same_bits(v.real[:, i], vi.real)
+                and _same_bits(v.dual[:, i], vi.dual))
         bi = dual_to_line(vi)
-        assert _same_bits(back.point[i], bi.point)
-        assert _same_bits(back.direction[i], bi.direction)
+        assert _same_bits(back.point[:, i], bi.point)
+        assert _same_bits(back.direction[:, i], bi.direction)
 
     l1, l2 = lines[0::2], lines[1::2]
     dist, (f1, f2) = common_perpendicular(l1, l2)
@@ -115,7 +116,7 @@ def test_batched_line_layer_equals_row_by_row_bitwise():
         dk, (g1, g2) = common_perpendicular(l1[k], l2[k])
         assert isinstance(dk, float)
         assert _same_bits(dist[k], dk)
-        assert _same_bits(f1[k], g1) and _same_bits(f2[k], g2)
+        assert _same_bits(f1[:, k], g1) and _same_bits(f2[:, k], g2)
 
 
 def test_parallel_pairs_in_a_batch():
@@ -123,7 +124,7 @@ def test_parallel_pairs_in_a_batch():
     dist, (f1, f2) = common_perpendicular(lines[0::2], lines[1::2])
     for k in (1, 2):   # parallel and antiparallel pair
         l1, l2 = lines[2 * k], lines[2 * k + 1]
-        assert np.array_equal(f1[k], l1.point)
+        assert np.array_equal(f1[:, k], l1.point)
         assert abs(dist[k] - l2.distance_to_point(l1.point)) < 1e-12
 
 
@@ -131,11 +132,11 @@ def test_dual_to_line_rejects_one_bad_row_of_a_batch():
     v = line_to_dual(sample_lines(np.random.default_rng(45), 50))
     dual_to_line(v)
     moment = v.dual.copy()
-    moment[17] += 1e-3 * v.real[17]
+    moment[:, 17] += 1e-3 * v.real[:, 17]
     with pytest.raises(NotALine, match=r"\|<a,a\*>\|=1\.000e-03"):
         dual_to_line(DualVector(v.real, moment))
     real = v.real.copy()
-    real[31] *= 1.1
+    real[:, 31] *= 1.1
     with pytest.raises(NotALine):
         dual_to_line(DualVector(real, v.dual))
 

@@ -62,7 +62,7 @@ def test_saddle_distance_grows_linearly():
 def test_catalog_case_oriented():
     a = saddle_analysis()
     built = construct_offset(a, OffsetSpec.constant(0.0, 4.0 * SQ2))
-    want = np.stack([a.u / 2 - 4, a.u / 2 - 4, np.zeros_like(a.u)], axis=1)
+    want = np.stack([a.u / 2 - 4, a.u / 2 - 4, np.zeros_like(a.u)])
     assert np.max(np.abs(built.c1 - want)) < 1e-9
     assert np.max(np.abs(built.e1 - a.e)) < 1e-15
 
@@ -70,7 +70,7 @@ def test_catalog_case_oriented():
 def test_catalog_case_quarter_angle():
     a = saddle_analysis()
     built = construct_offset(a, OffsetSpec.constant(np.pi / 4, 2.0 * SQ2))
-    want = np.stack([a.u / 2 - 2, a.u / 2 - 2, np.zeros_like(a.u)], axis=1)
+    want = np.stack([a.u / 2 - 2, a.u / 2 - 2, np.zeros_like(a.u)])
     assert np.max(np.abs(built.c1 - want)) < 1e-9
 
 
@@ -285,7 +285,7 @@ def test_ruling_angle_recovers_offset_angle():
     e_t, _, _ = a.dual_frame()
     for theta, theta_star in ((0.0, 4.0 * SQ2), (np.pi / 4, 2.0 * SQ2)):
         built = construct_offset(a, OffsetSpec.constant(theta, theta_star))
-        e1_t = DualVector(built.e1, np.cross(built.c1, built.e1))
+        e1_t = DualVector(built.e1, np.cross(built.c1, built.e1, axis=0))
         ang = dual_angle(e_t, e1_t)
         assert np.max(np.abs(ang.real - theta)) < 1e-12
         assert np.max(np.abs(ang.dual - theta_star)) < 1e-12

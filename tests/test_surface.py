@@ -87,7 +87,7 @@ def test_chain_rule_consistency():
 # --- striction curve ---
 
 def saddle_base(u):
-    return np.stack([u / 2, u / 2, np.zeros_like(u)], axis=1)
+    return np.stack([u / 2, u / 2, np.zeros_like(u)])
 
 
 def test_saddle_striction_equals_base():
@@ -104,7 +104,7 @@ def test_striction_fixes_valid_base():
     # the hyperboloid base already satisfies the striction condition
     spec = catalog.small_circle(np.pi / 6, 1.0)
     a = analyze(spec)
-    assert np.max(np.abs(a.c - spec.base(a.u))) < 1e-12
+    assert np.max(np.abs(a.c - spec.base(a.u).T)) < 1e-12
 
 
 def test_striction_without_oracles():
@@ -118,8 +118,8 @@ def test_saddle_dual_ruling_at_center():
     a = analyze(saddle())
     e_t, _, _ = a.dual_frame()
     i0 = a.n // 2
-    assert np.allclose(e_t.real[i0], [SQ2 / 2, -SQ2 / 2, 0.0], atol=1e-12)
-    assert np.allclose(e_t.dual[i0], [0.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(e_t.real[:, i0], [SQ2 / 2, -SQ2 / 2, 0.0], atol=1e-12)
+    assert np.allclose(e_t.dual[:, i0], [0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_cone_dual_part_vanishes():
@@ -133,7 +133,7 @@ def test_dual_part_is_striction_cross_director():
     spec = catalog.small_circle(np.pi / 3, 2.0)
     a = analyze(spec)
     e_t, _, _ = a.dual_frame()
-    want = np.cross(spec.base(a.u), spec.director(a.u))
+    want = np.cross(spec.base(a.u), spec.director(a.u)).T
     assert np.max(np.abs(e_t.dual - want)) < 1e-12
 
 
@@ -144,7 +144,8 @@ def test_saddle_frame_and_invariants():
     assert np.max(np.abs(a.gamma)) < 1e-12
     assert np.max(np.abs(a.delta)) < 1e-12
     assert np.max(np.abs(a.Delta + 0.5 * (1 + 2 * a.u ** 2))) < 1e-12
-    assert np.max(np.abs(a.g - np.array([-SQ2 / 2, -SQ2 / 2, 0.0]))) < 1e-12
+    g_want = np.array([[-SQ2 / 2], [-SQ2 / 2], [0.0]])
+    assert np.max(np.abs(a.g - g_want)) < 1e-12
 
 
 def test_cone_invariants():
@@ -201,7 +202,7 @@ def test_frame_ode_sampled_saddle():
 
 def test_frame_orthonormal_and_right_handed():
     a = analyze(saddle())
-    det = np.sum(np.cross(a.e, a.t) * a.g, axis=1)
+    det = np.sum(np.cross(a.e, a.t, axis=0) * a.g, axis=0)
     assert np.max(np.abs(det - 1.0)) < 1e-9
 
 
@@ -211,10 +212,10 @@ def test_striction_decomposition():
     # c' = delta e + Delta g, which also pins <c', t> = 0
     for spec in (saddle(), catalog.small_circle(np.pi / 6, 1.0, (0.0, 5.0), 1001)):
         a = analyze(spec)
-        c_s = a.c_u / a.sigma[:, None]
-        res = c_s - a.delta[:, None] * a.e - a.Delta[:, None] * a.g
-        assert np.max(np.linalg.norm(res[2:-2], axis=1)) < 1e-5
-        assert np.max(np.abs(np.sum(c_s * a.t, axis=1)[2:-2])) < 1e-6
+        c_s = a.c_u / a.sigma
+        res = c_s - a.delta * a.e - a.Delta * a.g
+        assert np.max(np.linalg.norm(res[:, 2:-2], axis=0)) < 1e-5
+        assert np.max(np.abs(np.sum(c_s * a.t, axis=0)[2:-2])) < 1e-6
 
 
 def test_dual_arc_speed():
@@ -322,7 +323,7 @@ def test_is_developable():
 
 def test_sampled_surface_reproduces_invariants():
     a = analyze(saddle())
-    spec = sampled_surface(a.u, a.e, a.c)
+    spec = sampled_surface(a.u, a.e.T, a.c.T)
     b = analyze(spec)
     assert np.max(np.abs(b.Delta - a.Delta)) < 1e-4
     assert np.max(np.abs(b.delta - a.delta)) < 1e-4
@@ -373,7 +374,7 @@ def test_analysis_arrays_are_read_only():
 def test_analysis_leaves_the_callers_grid_writable():
     a = analyze(saddle(n=101))
     grid = np.array(a.u)
-    spec = sampled_surface(grid, a.e, a.c)
+    spec = sampled_surface(grid, a.e.T, a.c.T)
     assert spec.grid is grid
     b = analyze(spec)
     assert grid.flags.writeable and not b.u.flags.writeable
@@ -383,7 +384,7 @@ def test_analysis_leaves_the_callers_grid_writable():
 def test_orthonormality_defect_propagates_nan():
     a = analyze(catalog.cone(0.6, (0.0, 5.0), 101))
     g = np.array(a.g)
-    g[50, 1] = np.nan    # only the g rows: not the first of the six maxima
+    g[1, 50] = np.nan    # only the g terms: not the first of the six maxima
     assert np.isnan(frame_ode_residual(replace(a, g=g)).orthonormality_max)
 
 
