@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .dual import DualScalar, cross3, dual_cos, dual_sin, norm3
+from .dual import DualScalar, cross3, norm3
 from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
 from .surface import (DEGENERATE_SIGMA, END_TRIM, DualCurvatureInvariants,
                       SurfaceAnalysis, SurfaceSpec, analyze)
@@ -75,10 +75,11 @@ def offset_angle(analysis: SurfaceAnalysis, c: float,
 
 @dataclass
 class ConstructedOffset:
-    """Sampled offset geometry plus the spec that re-runs the pipeline."""
+    """Sampled offset geometry on the base analysis grid."""
 
-    surface: SurfaceSpec
     theta_bar: DualScalar   # dual offset angle; fields are (n,) arrays
+    cos_bar: DualScalar     # cos(theta_bar) and sin(theta_bar), evaluated
+    sin_bar: DualScalar     # once per offset
     e1: np.ndarray          # read-only (3, n), like the analysis's fields
     c1: np.ndarray
     transport_residual: float
@@ -103,15 +104,18 @@ def construct_offset(analysis: SurfaceAnalysis,
         th = offset_angle(a, spec.c, spec.c_star)
     else:
         th = DualScalar(np.full(a.n, spec.theta), np.full(a.n, spec.theta_star))
-    e1 = np.cos(th.real) * a.e + np.sin(th.real) * a.t
+    cos, sin = np.cos(th.real), np.sin(th.real)
+    cos_bar = DualScalar(cos, -th.dual * sin)
+    sin_bar = DualScalar(sin, th.dual * cos)
+    e1 = cos * a.e + sin * a.t
     e1 /= norm3(e1)
     c1 = a.c + th.dual * a.g
     e1.flags.writeable = c1.flags.writeable = False
 
     # dual part of the rotated dual ruling must equal c1 x e1
-    e_t, t_t, _ = a.dual_frame()
-    e1_tilde = e_t.scale(dual_cos(th)) + t_t.scale(dual_sin(th))
-    transport = float(np.max(norm3(e1_tilde.dual - cross3(c1, e1))))
+    e1_dual = ((cos * a.e_star + cos_bar.dual * a.e)
+               + (sin * a.t_star + sin_bar.dual * a.t))
+    transport = float(np.max(norm3(e1_dual - cross3(c1, e1))))
 
     h = float(a.u[1] - a.u[0])
     sigma1 = norm3(np.gradient(e1, h, axis=1, edge_order=2))
@@ -120,15 +124,10 @@ def construct_offset(analysis: SurfaceAnalysis,
             "offset indicatrix is singular everywhere: the rotated director "
             "does not move (|e1'| = 0, e.g. gamma*sin(theta) = 0 identically)")
 
-    surface = SurfaceSpec(
-        director=CubicSpline(a.u, e1.T, axis=0),
-        base=CubicSpline(a.u, c1.T, axis=0),
-        param_range=(float(a.u[0]), float(a.u[-1])), sample_count=a.n,
-        grid=a.u, name=f"{a.spec.name or 'surface'}+offset[{spec.mode}]")
     identity = bool(np.max(np.abs(th.real)) < 1e-12
                     and np.max(np.abs(th.dual)) < 1e-12)
     return ConstructedOffset(
-        surface=surface, theta_bar=th, e1=e1, c1=c1,
+        theta_bar=th, cos_bar=cos_bar, sin_bar=sin_bar, e1=e1, c1=c1,
         transport_residual=transport, is_identity=identity)
 
 
@@ -150,23 +149,24 @@ class PredictedInvariants:
     valid: dict
 
 
-def predicted_invariants(analysis: SurfaceAnalysis,
-                         theta_bar: DualScalar) -> PredictedInvariants:
+def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
+                         cos_bar: DualScalar,
+                         sin_bar: DualScalar) -> PredictedInvariants:
     """Evaluate the Mannheim-offset invariant formulas on the base
-    analysis: arc-speed ratio gamma*sin(theta) (real and dual), conical
+    analysis, given the dual offset angle theta_bar and its cosine and
+    sine: arc-speed ratio gamma*sin(theta) (real and dual), conical
     curvature cot(theta), distribution parameter and striction drift of
     the offset, dual curvature sin(theta_bar) and spherical radius
     theta_bar itself."""
     a = analysis
     th = theta_bar
     gamma_ok = np.abs(a.gamma) > GAMMA_MIN
-    sin_ok = np.abs(np.sin(th.real)) > SIN_MIN
+    sin_ok = np.abs(sin_bar.real) > SIN_MIN
 
-    sin_bar = dual_sin(th)
     dsbar = a.gamma_bar() * sin_bar
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        cot = np.cos(th.real) / np.sin(th.real)
+        cot = cos_bar.real / sin_bar.real
         d_over_g = a.delta / a.gamma
         gamma1 = np.where(sin_ok, cot, np.nan)
         Delta1 = np.where(sin_ok & gamma_ok, th.dual * cot + d_over_g, np.nan)
@@ -228,14 +228,19 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
         raise DegenerateOffset(
             "identity offset: predicted arc-speed gamma*sin(theta) "
             "vanishes, there is no separate surface to verify")
+    surface = SurfaceSpec(   # the splines' one consumer is this re-analysis
+        director=CubicSpline(a.u, built.e1.T, axis=0),
+        base=CubicSpline(a.u, built.c1.T, axis=0),
+        param_range=(float(a.u[0]), float(a.u[-1])), sample_count=a.n,
+        grid=a.u, name=f"{a.spec.name or 'surface'}+offset[{spec.mode}]")
     try:
-        off = analyze(built.surface)
+        off = analyze(surface)
     except DegenerateIndicatrix as exc:
         raise DegenerateOffset(
             f"constructed offset has a singular indicatrix: {exc}") from exc
 
     th = built.theta_bar
-    pred = predicted_invariants(a, th)
+    pred = predicted_invariants(a, th, built.cos_bar, built.sin_bar)
 
     interior = np.zeros(a.n, dtype=bool)
     interior[END_TRIM:a.n - END_TRIM] = True
@@ -244,10 +249,8 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
 
     # Mannheim condition: asymptotic normal of the base = central normal
     # of the recomputed offset.
-    _, _, g_t = a.dual_frame()
-    e1_t, t1_t, g1_t = off.dual_frame()
-    mann_real = _max_at(norm3(g_t.real - t1_t.real), interior)
-    mann_dual = _max_at(norm3(g_t.dual - t1_t.dual), interior)
+    mann_real = _max_at(norm3(a.g - off.t), interior)
+    mann_dual = _max_at(norm3(a.g_star - off.t_star), interior)
 
     rows: list[ComparisonRow] = []
 
@@ -277,7 +280,8 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
 
     # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
     # recomputed offset frame.
-    d0_pred = e1_t.scale(dual_cos(th)) + g1_t.scale(dual_sin(th))
+    e1_t, _, g1_t = off.dual_frame()
+    d0_pred = e1_t.scale(built.cos_bar) + g1_t.scale(built.sin_bar)
     d0_rec = inv.d0
     add("d0_1 (real)", norm3(d0_pred.real - d0_rec.real), np.zeros(a.n))
     add("d0_1 (dual)", norm3(d0_pred.dual - d0_rec.dual), np.zeros(a.n))

@@ -7,10 +7,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ruledgeom import surface
+from ruledgeom import catalog, offsets, surface
 from ruledgeom.cli import main
 from ruledgeom.io import ANALYSIS_COLUMNS, read_sampled_csv
 from ruledgeom.errors import ConfigError
+from ruledgeom.surface import analyze
 
 SQ2 = np.sqrt(2.0)
 
@@ -308,6 +309,31 @@ def test_offset_mesh_is_translated(tmp_path):
     assert np.max(np.abs((off - base) - np.array([-4.0, -4.0, 0.0]))) < 1e-9
 
 
+def test_offset_splines_are_fitted_only_for_the_re_analysis(tmp_path):
+    # the README config: a theorem-consistent and a constant-angle offset
+    cfg = write_config(
+        tmp_path / "cfg.json", surface={"builtin": "cone", "alpha": np.pi / 4},
+        param_range=[0.0, 2.5 / np.sin(np.pi / 4)], sample_count=2001,
+        offsets=[{"mode": "theorem_consistent", "c": 2.8, "c_star": 0.7},
+                 {"mode": "constant_angle", "theta": 0.0,
+                  "theta_star": 4 * SQ2}])
+    fits = []
+    fit = offsets.CubicSpline
+
+    def counted(*args, **kwargs):
+        fits.append(None)
+        return fit(*args, **kwargs)
+
+    with mock.patch.object(offsets, "CubicSpline", counted):
+        assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path),
+                     "--v-count", "3"]) == 0
+        assert len(fits) == 0
+        a = analyze(catalog.cone(np.pi / 4, (0.0, 2.5 / np.sin(np.pi / 4)),
+                                 2001))
+        offsets.verify_offset(a, offsets.OffsetSpec.theorem(2.8, 0.7))
+        assert len(fits) == 2
+
+
 def test_mesh_unwritable_path_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     target = tmp_path / "file"
@@ -381,6 +407,20 @@ def test_csv_round_trip_reproduces_invariants(tmp_path):
         dev = np.max(np.abs(data[:, col(header, name)]
                             - data2[:, col(header2, name)]))
         assert dev < 1e-4, (name, dev)
+
+
+def test_nan_sampled_director_exits_1(tmp_path, capsys):
+    sampled = tmp_path / "sampled.csv"
+    rows = ["u,ex,ey,ez,px,py,pz"]
+    for i, u in enumerate(np.linspace(0.0, 1.0, 11).tolist()):
+        ey = "nan" if i == 4 else repr(np.sin(u).item())
+        rows.append(f"{u!r},{np.cos(u).item()!r},{ey},0,0,0,{u!r}")
+    sampled.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"sampled_csv": str(sampled)}}))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sampled directors are not unit vectors\n")
 
 
 def test_read_sampled_csv_rejects_bad_header(tmp_path):

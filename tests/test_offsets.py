@@ -105,11 +105,14 @@ def test_offset_spec_validation():
 
 # --- predicted invariants ---
 
+def predict(a, th):
+    return predicted_invariants(a, th, dual_cos(th), dual_sin(th))
+
+
 def test_right_offset_predictions():
     a = cone_analysis()
     n = a.n
-    pred = predicted_invariants(a, DualScalar(np.full(n, np.pi / 2),
-                                              np.zeros(n)))
+    pred = predict(a, DualScalar(np.full(n, np.pi / 2), np.zeros(n)))
     assert pred.valid["gamma1"].all()
     assert np.max(np.abs(pred.gamma1)) < 1e-12
     assert np.max(np.abs(pred.R1.real - 1.0)) < 1e-12
@@ -118,16 +121,14 @@ def test_right_offset_predictions():
 def test_dual_sine_prediction():
     a = cone_analysis()
     n = a.n
-    pred = predicted_invariants(a, DualScalar(np.full(n, np.pi / 4),
-                                              np.full(n, 2.0 * SQ2)))
+    pred = predict(a, DualScalar(np.full(n, np.pi / 4), np.full(n, 2.0 * SQ2)))
     assert np.max(np.abs(pred.R1.real - SQ2 / 2)) < 1e-12
     assert np.max(np.abs(pred.R1.dual - 2.0)) < 1e-12
 
 
 def test_singular_formulas_flagged():
     a = saddle_analysis()  # gamma = 0 everywhere
-    pred = predicted_invariants(
-        a, DualScalar(np.full(a.n, 0.9), np.full(a.n, 0.4)))
+    pred = predict(a, DualScalar(np.full(a.n, 0.9), np.full(a.n, 0.4)))
     for name in ("Delta1", "delta1"):
         assert not pred.valid[name].any()
         assert np.isnan(getattr(pred, name)).all()
@@ -212,8 +213,10 @@ def test_theorem_offsets_verify_on_random_cones(case):
         assert row.deviation is not None, row.name
         assert row.deviation <= tol.theorem_compare, (row.name, row.deviation)
     # the offset's dual spherical radius of curvature is the offset angle
-    theta_bar = rep.constructed.theta_bar
-    assert predicted_invariants(a, theta_bar).rho1 is theta_bar
+    built = rep.constructed
+    theta_bar = built.theta_bar
+    assert predicted_invariants(a, theta_bar, built.cos_bar,
+                                built.sin_bar).rho1 is theta_bar
 
 
 def test_hyperboloid_theorem_offset_verifies():

@@ -408,3 +408,31 @@ def test_non_unit_director_rejected():
         param_range=(0.0, 1.0), sample_count=101)
     with pytest.raises(ValueError, match="unit"):
         analyze(spec)
+
+
+def _nan_at(fn, index):
+    def poisoned(u):
+        out = np.array(fn(u), dtype=float)
+        out[index] = np.nan
+        return out
+    return poisoned
+
+
+@pytest.mark.parametrize("field, error, message", [
+    ("director", ValueError, "not a unit field"),
+    ("director_d1", DegenerateIndicatrix, "indicatrix speed falls to nan")],
+    ids=["director", "director_d1"])
+def test_nan_sample_fails_closed(field, error, message):
+    # a NaN compares False, so a guard written as `defect > tol` let it pass
+    spec = catalog.cone(np.pi / 4, sample_count=201)
+    spec = replace(spec, **{field: _nan_at(getattr(spec, field), 50)})
+    with pytest.raises(error, match=message):
+        analyze(spec)
+
+
+def test_sampled_surface_rejects_nan_director():
+    u = np.linspace(0.0, 1.0, 11)
+    e = np.stack([np.cos(u), np.sin(u), np.zeros_like(u)], axis=-1)
+    e[4, 1] = np.nan
+    with pytest.raises(ValueError, match="not unit vectors"):
+        sampled_surface(u, e, np.zeros_like(e))
