@@ -110,14 +110,13 @@ def cmd_offset(args) -> int:
     all_ok = True
     for i, doc in enumerate(cfg.offsets):
         spec = OffsetSpec(**doc)
-        report = verify_offset(analysis, spec,
-                               developable_tol=tol.developable_class)
+        report = verify_offset(analysis, spec)
         csv_path = out / f"offset_{i}.csv"
         write_analysis_csv(csv_path, report.offset_analysis,
                            report.offset_invariants)
         text, ok = render_offset_report(
             i, spec, report, tol.mannheim_real, tol.mannheim_dual,
-            tol.theorem_compare)
+            tol.theorem_compare, tol.developable_class)
         (out / f"offset_{i}_report.txt").write_text(text)
         sys.stdout.write(text)
         print(f"wrote {csv_path}")
@@ -133,13 +132,14 @@ def cmd_mesh(args) -> int:
     analysis = analyze(cfg.build_surface())
     out = _out_dir(args, cfg)
     base_path = out / "base.obj"
-    write_obj(base_path, surface_grid(analysis, v_range, args.v_count))
+    write_obj(base_path,
+              surface_grid(analysis.c, analysis.e, v_range, args.v_count))
     print(f"wrote {base_path}")
     for i, doc in enumerate(cfg.offsets):
         built = construct_offset(analysis, OffsetSpec(**doc))
         path = out / f"offset_{i}.obj"
-        write_obj(path, surface_grid(analysis, v_range, args.v_count,
-                                     e=built.e1, c=built.c1))
+        write_obj(path, surface_grid(built.c1, built.e1, v_range,
+                                     args.v_count))
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -44,12 +44,8 @@ class DualScalar:
         other = _as_dual(other)
         return DualScalar(self.real + other.real, self.dual + other.dual)
 
-    __radd__ = __add__
-
     def __mul__(self, other: "DualScalar | float") -> "DualScalar":
         return dual_mul(self, _as_dual(other))
-
-    __rmul__ = __mul__
 
 
 def _as_dual(x) -> DualScalar:
@@ -116,12 +112,6 @@ class DualVector:
 
     def __add__(self, other: "DualVector") -> "DualVector":
         return DualVector(self.real + other.real, self.dual + other.dual)
-
-    def __sub__(self, other: "DualVector") -> "DualVector":
-        return DualVector(self.real - other.real, self.dual - other.dual)
-
-    def __neg__(self) -> "DualVector":
-        return DualVector(-self.real, -self.dual)
 
     def scale(self, s: DualScalar) -> "DualVector":
         """Multiply by a dual scalar ((N,) fields broadcast over (3, N))."""

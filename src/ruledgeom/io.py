@@ -95,13 +95,11 @@ def write_obj(path, grid: np.ndarray) -> None:
                     lambda a, b: _quads(a, b, n_v))
 
 
-def surface_grid(analysis: SurfaceAnalysis, v_range, v_count: int,
-                 e: Optional[np.ndarray] = None,
-                 c: Optional[np.ndarray] = None) -> np.ndarray:
+def surface_grid(c: np.ndarray, e: np.ndarray, v_range,
+                 v_count: int) -> np.ndarray:
     """Vertex grid phi(u_i, v_j) = c(u_i) + v_j e(u_i) on the sample grid,
-    from (3, n) fields e and c, as an (n, n_v, 3) array."""
-    e = (analysis.e if e is None else e).T
-    c = (analysis.c if c is None else c).T
+    from (3, n) fields c and e, as an (n, n_v, 3) array."""
+    c, e = c.T, e.T
     v = np.linspace(float(v_range[0]), float(v_range[1]), int(v_count))
     return c[:, None, :] + v[None, :, None] * e[:, None, :]
 
@@ -118,13 +116,15 @@ def describe_offset_spec(spec: OffsetSpec) -> str:
 
 def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
                          mannheim_real_tol: float, mannheim_dual_tol: float,
-                         compare_tol: float) -> tuple[str, bool]:
+                         compare_tol: float,
+                         developable_tol: float) -> tuple[str, bool]:
     """Fixed-format report text; returns (text, all_assertions_passed).
 
     In theorem mode every deviation is asserted against its tolerance, and
     a row, or the whole report, that compares zero samples fails; in
-    constant-angle mode the deviations are informational findings."""
-    info = report.informational
+    constant-angle mode the deviations are informational findings.  A
+    surface reads as developable when its max|Delta| < developable_tol."""
+    info = spec.mode == "constant_angle"
     lines = [f"offset {index}: {describe_offset_spec(spec)}"]
 
     def verdict(value, tol) -> str:
@@ -151,16 +151,17 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
     lines.append(f"  mannheim residual |g~ - t1~|: real={mr:.3e} "
                  f"[{verdict(mr, mannheim_real_tol)}] dual={md:.3e} "
                  f"[{verdict(md, mannheim_dual_tol)}]")
-    bd, bmax = report.base_developable
-    od, omax = report.offset_developable
-    lines.append(f"  developable: base={'yes' if bd else 'no'} "
-                 f"(max|Delta|={bmax:.3e})  offset={'yes' if od else 'no'} "
-                 f"(max|Delta1|={omax:.3e})")
+    bmax, omax = report.base_max_abs_Delta, report.offset_max_abs_Delta
+    lines.append(f"  developable: base={'yes' if bmax < developable_tol else 'no'}"
+                 f" (max|Delta|={bmax:.3e})  offset="
+                 f"{'yes' if omax < developable_tol else 'no'}"
+                 f" (max|Delta1|={omax:.3e})")
     lines.append("  predicted vs recomputed (max |deviation| over compared samples):")
     for row in report.rows:
         lines.append(f"    {row.name:28s} {_cell(row.deviation):>12s}  "
                      f"[{verdict(row.deviation, compare_tol)}]"
-                     + (f"  {row.note}" if row.note else ""))
+                     + ("  no samples outside guard bands"
+                        if row.deviation is None else ""))
     lines.append(f"  striction transport residual: "
                  f"{report.constructed.transport_residual:.3e}")
     return "\n".join(lines) + "\n", ok

@@ -72,16 +72,18 @@ def line_to_dual(line: Line) -> DualVector:
     return DualVector(line.direction, cross3(line.point, line.direction))
 
 
-def dual_to_line(v: DualVector, tol: float = LINE_CONSTRAINT_TOL) -> Line:
+def dual_to_line(v: DualVector) -> Line:
     """Recover the oriented line of a dual unit vector.
 
-    Raises NotALine unless <a,a> = 1 and <a,a*> = 0 within `tol` on every
-    row (a NaN defect fails), reporting the worst defects.  The returned
-    point is the foot of the origin perpendicular, a x a*.
+    Raises NotALine unless <a,a> = 1 and <a,a*> = 0 within
+    LINE_CONSTRAINT_TOL on every row (a NaN defect fails), reporting the
+    worst defects.  The returned point is the foot of the origin
+    perpendicular, a x a*.
     """
     a, m = v.real, v.dual
     unit_defect = np.abs(row_dot(a, a) - 1.0)
     moment_defect = np.abs(row_dot(a, m))
+    tol = LINE_CONSTRAINT_TOL
     if not np.all((unit_defect <= tol) & (moment_defect <= tol)):
         raise NotALine(
             f"constraint violation: |<a,a>-1|={np.max(unit_defect):.3e}, "

@@ -136,8 +136,8 @@ class PredictedInvariants:
     """Closed-form offset invariants implied by the Mannheim relations.
 
     Entries whose formula divides by a guarded quantity are NaN outside
-    the guard band, where their `valid` mask is False.  The dual spherical
-    radius of curvature rho1 is the dual offset angle theta_bar itself.
+    the guard band.  The dual spherical radius of curvature rho1 is the
+    dual offset angle theta_bar itself.
     """
 
     dsbar1_dsbar: DualScalar
@@ -146,7 +146,6 @@ class PredictedInvariants:
     delta1: np.ndarray
     R1: DualScalar
     rho1: DualScalar
-    valid: dict
 
 
 def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
@@ -174,35 +173,32 @@ def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
 
     return PredictedInvariants(
         dsbar1_dsbar=dsbar, gamma1=gamma1, Delta1=Delta1, delta1=delta1,
-        R1=sin_bar, rho1=th,
-        valid={"gamma1": sin_ok, "Delta1": sin_ok & gamma_ok,
-               "delta1": sin_ok & gamma_ok})
+        R1=sin_bar, rho1=th)
 
 
 @dataclass
 class ComparisonRow:
-    """One predicted-vs-recomputed quantity, maxed over valid samples."""
+    """One predicted-vs-recomputed quantity, maxed over valid samples
+    (None when no sample was compared)."""
 
     name: str
     deviation: Optional[float]   # max |predicted - recomputed|
     n_compared: int
-    note: str = ""
 
 
 @dataclass
 class OffsetReport:
-    """Outcome of re-analyzing a constructed offset from scratch."""
+    """Measurements from re-analyzing a constructed offset from scratch;
+    `io.render_offset_report` judges them against the tolerances."""
 
-    mode: str
-    informational: bool
     constructed: ConstructedOffset
     offset_analysis: SurfaceAnalysis
     offset_invariants: DualCurvatureInvariants
     mannheim_residual_real: float
     mannheim_residual_dual: float
     rows: list
-    base_developable: tuple[bool, float]
-    offset_developable: tuple[bool, float]
+    base_max_abs_Delta: float
+    offset_max_abs_Delta: float
     n_valid: int
 
 
@@ -212,8 +208,7 @@ def _max_at(arr, mask) -> Optional[float]:
     return float(np.max(np.abs(np.asarray(arr)[mask])))
 
 
-def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
-                  developable_tol: float = 1e-7) -> OffsetReport:
+def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
     """Construct the offset, rerun the full analysis pipeline on it, and
     tabulate |predicted - recomputed| for every offset invariant.
 
@@ -248,29 +243,26 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
     base_ok = interior & in_band
 
     # Mannheim condition: asymptotic normal of the base = central normal
-    # of the recomputed offset.
+    # of the recomputed offset (the interior is never empty: n >= 5).
     mann_real = _max_at(norm3(a.g - off.t), interior)
     mann_dual = _max_at(norm3(a.g_star - off.t_star), interior)
 
     rows: list[ComparisonRow] = []
 
-    def add(name, predicted, recomputed, extra_mask=None, note=""):
+    def add(name, predicted, recomputed):
+        # a guarded prediction is NaN outside its guard band
         mask = base_ok & np.isfinite(predicted)
-        if extra_mask is not None:
-            mask &= extra_mask
-        dev = _max_at(predicted - recomputed, mask)
-        if dev is None:
-            note = note or "no samples outside guard bands"
-        rows.append(ComparisonRow(name=name, deviation=dev,
-                                  n_compared=int(np.sum(mask)), note=note))
+        rows.append(ComparisonRow(
+            name=name, deviation=_max_at(predicted - recomputed, mask),
+            n_compared=int(np.sum(mask))))
 
     speed_ratio = off.sigma / a.sigma
     add("ds1/ds", pred.dsbar1_dsbar.real, speed_ratio)
     dsbar_rec_dual = speed_ratio * (off.Delta - a.Delta)
     add("dsbar1/dsbar (dual part)", pred.dsbar1_dsbar.dual, dsbar_rec_dual)
-    add("gamma1", pred.gamma1, off.gamma, extra_mask=pred.valid["gamma1"])
-    add("Delta1", pred.Delta1, off.Delta, extra_mask=pred.valid["Delta1"])
-    add("delta1", pred.delta1, off.delta, extra_mask=pred.valid["delta1"])
+    add("gamma1", pred.gamma1, off.gamma)
+    add("Delta1", pred.Delta1, off.Delta)
+    add("delta1", pred.delta1, off.delta)
 
     inv = off.invariants()
     add("R1 (real)", pred.R1.real, inv.R.real)
@@ -287,18 +279,11 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec,
     add("d0_1 (dual)", norm3(d0_pred.dual - d0_rec.dual), np.zeros(a.n))
 
     return OffsetReport(
-        mode=spec.mode,
-        informational=(spec.mode == "constant_angle"),
-        constructed=built,
-        offset_analysis=off,
-        offset_invariants=inv,
-        mannheim_residual_real=mann_real if mann_real is not None else np.nan,
-        mannheim_residual_dual=mann_dual if mann_dual is not None else np.nan,
+        constructed=built, offset_analysis=off, offset_invariants=inv,
+        mannheim_residual_real=mann_real, mannheim_residual_dual=mann_dual,
         rows=rows,
-        base_developable=(bool(np.max(np.abs(a.Delta)) < developable_tol),
-                          float(np.max(np.abs(a.Delta)))),
-        offset_developable=(bool(np.max(np.abs(off.Delta)) < developable_tol),
-                            float(np.max(np.abs(off.Delta)))),
+        base_max_abs_Delta=float(np.max(np.abs(a.Delta))),
+        offset_max_abs_Delta=float(np.max(np.abs(off.Delta))),
         n_valid=int(np.sum(base_ok)))
 
 

@@ -106,11 +106,10 @@ class DualCurvatureInvariants:
         sin_rho = dual_sin(self.rho)
         cos_rho = dual_cos(self.rho)
         cot_rho = dual_div(cos_rho, sin_rho)
-        res = [np.abs(sin_rho.real - self.R.real),
-               np.abs(sin_rho.dual - self.R.dual),
-               np.abs(cot_rho.real - gamma_bar.real),
-               np.abs(cot_rho.dual - gamma_bar.dual)]
-        return float(max(np.max(r) for r in res))
+        # np.max, not max(): a NaN defect must propagate
+        return float(np.max([np.max(np.abs(x - y)) for x, y in (
+            (sin_rho.real, self.R.real), (sin_rho.dual, self.R.dual),
+            (cot_rho.real, gamma_bar.real), (cot_rho.dual, gamma_bar.dual))]))
 
 
 @dataclass(frozen=True)
@@ -304,9 +303,9 @@ def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
     Frame derivatives are formed the same way the pipeline formed the
     frame: from analytic oracles when the spec has them, from grid
     differences otherwise.  END_TRIM samples at each end are excluded.
-    The real row de/ds = t compares e_u/sigma with t, which `analyze`
-    defines as that same quotient: its defect is 0 by construction, and
-    real_max comes from the t and g equations."""
+    The real row de/ds = t is not formed: `analyze` defines t as e_u/sigma,
+    so its defect is 0 by construction, and real_max comes from the t and
+    g equations.  A NaN defect in any row reads as a NaN maximum."""
     a = analysis
     h = float(a.u[1] - a.u[0])
     sl = slice(END_TRIM, a.n - END_TRIM)
@@ -320,7 +319,6 @@ def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
         g_u = _fd1(a.g, h)
 
     # real parts evolve in s
-    res_e = norm3(a.e_u / a.sigma - a.t)
     res_t = norm3(t_u / a.sigma - (a.gamma * a.g - a.e))
     res_g = norm3(g_u / a.sigma + a.gamma * a.t)
 
@@ -347,8 +345,9 @@ def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
         norm3(a.e) - 1.0, norm3(a.t) - 1.0, norm3(a.g) - 1.0)])
 
     return FrameOdeResiduals(
-        real_max=max(float(np.max(r[sl])) for r in (res_e, res_t, res_g)),
-        dual_max=max(float(np.max(r[sl])) for r in (dres_e, dres_t, dres_g)),
+        real_max=float(np.max([np.max(r[sl]) for r in (res_t, res_g)])),
+        dual_max=float(np.max([np.max(r[sl])
+                               for r in (dres_e, dres_t, dres_g)])),
         orthonormality_max=float(ortho))
 
 

@@ -249,7 +249,7 @@ def suite_developability(tol, seed, analyses) -> list[Check]:
         _c("cone: flattening profile -(delta/gamma)tan(theta) = 0",
            profile_dev, tol.developable_evidence),
         _c("cone: offset built with the flattening profile has max|Delta1|",
-           rep.offset_developable[1], tol.developable_offset),
+           rep.offset_max_abs_Delta, tol.developable_offset),
     ]
 
 

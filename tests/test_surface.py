@@ -18,7 +18,7 @@ import pytest
 
 from ruledgeom import catalog
 from ruledgeom.errors import DegenerateIndicatrix
-from ruledgeom.io import surface_grid
+from ruledgeom.io import render_offset_report, surface_grid
 from ruledgeom.offsets import OffsetSpec, verify_offset
 from ruledgeom.surface import (SurfaceSpec, analyze, dual_invariants,
                                frame_ode_residual, sampled_surface)
@@ -300,8 +300,8 @@ def test_dual_ruling_unit():
 
 def test_evaluate_surface():
     a = analyze(saddle())
-    grid = surface_grid(a, (0.0, 2.0), 3)      # v = 0, 1, 2
-    i0 = a.n // 2                              # u = 0
+    grid = surface_grid(a.c, a.e, (0.0, 2.0), 3)   # v = 0, 1, 2
+    i0 = a.n // 2                                  # u = 0
     assert np.allclose(grid[i0, 0], [0, 0, 0], atol=1e-12)
     assert np.allclose(grid[i0, 1], [SQ2 / 2, -SQ2 / 2, 0.0], atol=1e-12)
     p0, p1, p2 = grid[:, 0], grid[:, 1], grid[:, 2]
@@ -310,12 +310,15 @@ def test_evaluate_surface():
 
 def test_is_developable():
     offset = OffsetSpec.constant(np.pi / 4, 1.0)
-    rep = verify_offset(analyze(catalog.cone(np.pi / 4)), offset,
-                        developable_tol=1e-8)
-    flag, m = rep.base_developable
+
+    def developable(spec):   # the report's verdict at developable_tol=1e-8
+        rep = verify_offset(analyze(spec), offset)
+        text, _ = render_offset_report(0, offset, rep, 1e-4, 1e-3, 1e-3, 1e-8)
+        return "developable: base=yes " in text, rep.base_max_abs_Delta
+
+    flag, m = developable(catalog.cone(np.pi / 4))
     assert flag and m < 1e-12
-    rep = verify_offset(analyze(saddle()), offset, developable_tol=1e-8)
-    flag, m = rep.base_developable
+    flag, m = developable(saddle())
     assert not flag and m >= 0.5
 
 
@@ -436,3 +439,19 @@ def test_sampled_surface_rejects_nan_director():
     e[4, 1] = np.nan
     with pytest.raises(ValueError, match="not unit vectors"):
         sampled_surface(u, e, np.zeros_like(e))
+
+
+def test_frame_ode_nan_defect_propagates():
+    # a NaN second derivative poisons the t and g rows at one sample; the
+    # real maximum must not read it as a pass
+    spec = catalog.cone(np.pi / 4, (0.0, 3.0), 201)
+    spec = replace(spec, director_d2=_nan_at(spec.director_d2, 100))
+    res = frame_ode_residual(analyze(spec))
+    assert np.isnan(res.real_max) and np.isnan(res.dual_max)
+
+
+def test_radius_identity_nan_defect_propagates():
+    # a NaN base velocity leaves the real rows finite and the dual rows NaN
+    spec = catalog.small_circle(np.pi / 6, 1.0, (0.0, 3.0), 201)
+    a = analyze(replace(spec, base_d1=_nan_at(spec.base_d1, 100)))
+    assert np.isnan(a.invariants().radius_identity_residual(a.gamma_bar()))
