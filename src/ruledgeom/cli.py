@@ -19,7 +19,7 @@ from .config import RunConfig, finite_number
 from .errors import RuledGeomError
 from .io import (render_offset_report, surface_grid, write_analysis_csv,
                  write_obj)
-from .offsets import OffsetSpec, construct_offset, verify_offset
+from .offsets import construct_offset, verify_offset
 from .surface import analyze
 from .verify import run_all
 
@@ -108,15 +108,12 @@ def cmd_offset(args) -> int:
     analysis = analyze(cfg.build_surface())
     out = _out_dir(args, cfg)
     all_ok = True
-    for i, doc in enumerate(cfg.offsets):
-        spec = OffsetSpec(**doc)
+    for i, spec in enumerate(cfg.offsets):
         report = verify_offset(analysis, spec)
         csv_path = out / f"offset_{i}.csv"
         write_analysis_csv(csv_path, report.offset_analysis,
                            report.offset_invariants)
-        text, ok = render_offset_report(
-            i, spec, report, tol.mannheim_real, tol.mannheim_dual,
-            tol.theorem_compare, tol.developable_class)
+        text, ok = render_offset_report(i, spec, report, tol)
         (out / f"offset_{i}_report.txt").write_text(text)
         sys.stdout.write(text)
         print(f"wrote {csv_path}")
@@ -135,8 +132,8 @@ def cmd_mesh(args) -> int:
     write_obj(base_path,
               surface_grid(analysis.c, analysis.e, v_range, args.v_count))
     print(f"wrote {base_path}")
-    for i, doc in enumerate(cfg.offsets):
-        built = construct_offset(analysis, OffsetSpec(**doc))
+    for i, spec in enumerate(cfg.offsets):
+        built = construct_offset(analysis, spec)
         path = out / f"offset_{i}.obj"
         write_obj(path, surface_grid(built.c1, built.e1, v_range,
                                      args.v_count))

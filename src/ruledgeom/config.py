@@ -16,6 +16,7 @@ from pathlib import Path
 from .catalog import builtin_surface
 from .errors import ConfigError
 from .io import read_sampled_csv
+from .offsets import OffsetSpec
 from .surface import SurfaceSpec, sampled_surface
 
 
@@ -81,19 +82,19 @@ class Tolerances:
 _TOP_KEYS = {"surface", "param_range", "sample_count", "offsets", "seed",
              "tolerances", "out_dir"}
 _SURFACE_KEYS = {"builtin", "sampled_csv", "alpha", "beta", "radius", "pitch"}
-_OFFSET_KEYS = {"mode", "c", "c_star", "theta", "theta_star"}
+_OFFSET_KEYS = {"mode"}.union(*OffsetSpec.PARAMS.values())
 
 
 @dataclass
 class RunConfig:
-    """One surface, any number of offsets, seeded randomness.  Only the
-    seed and the tolerances matter to `verify`, so the surface may be
-    left out (None); build_surface then fails."""
+    """One surface, any number of offsets (as OffsetSpec values), seeded
+    randomness.  Only the seed and the tolerances matter to `verify`, so
+    the surface may be left out (None); build_surface then fails."""
 
     surface: dict | None = None
     param_range: tuple[float, float] = (-1.0, 1.0)
     sample_count: int = 2001
-    offsets: list = field(default_factory=list)
+    offsets: list[OffsetSpec] = field(default_factory=list)
     seed: int = 42
     tolerances: Tolerances = field(default_factory=Tolerances)
     out_dir: str = "."
@@ -155,22 +156,18 @@ class RunConfig:
             if bad:
                 raise ConfigError(f"offsets[{i}]: unknown key(s) {sorted(bad)}")
             mode = off.get("mode")
-            if mode == "theorem_consistent":
-                allowed = {"mode", "c", "c_star"}
-            elif mode == "constant_angle":
-                allowed = {"mode", "theta", "theta_star"}
-            else:
+            if mode not in tuple(OffsetSpec.PARAMS):   # a list or dict too
                 raise ConfigError(
                     f"offsets[{i}].mode must be 'theorem_consistent' or "
                     f"'constant_angle'")
-            stray = set(off) - allowed
+            stray = set(off) - {"mode", *OffsetSpec.PARAMS[mode]}
             if stray:
                 raise ConfigError(
                     f"offsets[{i}]: key(s) {sorted(stray)} do not apply to "
                     f"mode {mode!r}")
-            parsed.append({k: (v if k == "mode" else
-                               finite_number(v, f"offsets[{i}].{k}"))
-                           for k, v in off.items()})
+            parsed.append(OffsetSpec(mode, **{
+                k: finite_number(v, f"offsets[{i}].{k}")
+                for k, v in off.items() if k != "mode"}))
 
         seed = doc.get("seed", 42)
         if not isinstance(seed, int) or isinstance(seed, bool):

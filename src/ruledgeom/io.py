@@ -108,24 +108,19 @@ def _cell(x: Optional[float]) -> str:
     return "n/a(guard)" if x is None else f"{x:.3e}"
 
 
-def describe_offset_spec(spec: OffsetSpec) -> str:
-    if spec.mode == "theorem_consistent":
-        return (f"mode=theorem_consistent c={spec.c:g} c_star={spec.c_star:g}")
-    return f"mode=constant_angle theta={spec.theta:g} theta_star={spec.theta_star:g}"
-
-
 def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
-                         mannheim_real_tol: float, mannheim_dual_tol: float,
-                         compare_tol: float,
-                         developable_tol: float) -> tuple[str, bool]:
-    """Fixed-format report text; returns (text, all_assertions_passed).
+                         tol) -> tuple[str, bool]:
+    """Fixed-format report text judged against `tol`, a config.Tolerances;
+    returns (text, all_assertions_passed).
 
     In theorem mode every deviation is asserted against its tolerance, and
     a row, or the whole report, that compares zero samples fails; in
     constant-angle mode the deviations are informational findings.  A
-    surface reads as developable when its max|Delta| < developable_tol."""
+    surface reads as developable when max|Delta| < tol.developable_class."""
     info = spec.mode == "constant_angle"
-    lines = [f"offset {index}: {describe_offset_spec(spec)}"]
+    params = " ".join(f"{k}={getattr(spec, k):g}"
+                      for k in spec.PARAMS[spec.mode])
+    lines = [f"offset {index}: mode={spec.mode} {params}"]
 
     def verdict(value, tol) -> str:
         nonlocal ok
@@ -149,17 +144,18 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
                  + ("  [FAIL: no sample compared]" if vacuous else ""))
     mr, md = report.mannheim_residual_real, report.mannheim_residual_dual
     lines.append(f"  mannheim residual |g~ - t1~|: real={mr:.3e} "
-                 f"[{verdict(mr, mannheim_real_tol)}] dual={md:.3e} "
-                 f"[{verdict(md, mannheim_dual_tol)}]")
+                 f"[{verdict(mr, tol.mannheim_real)}] dual={md:.3e} "
+                 f"[{verdict(md, tol.mannheim_dual)}]")
     bmax, omax = report.base_max_abs_Delta, report.offset_max_abs_Delta
-    lines.append(f"  developable: base={'yes' if bmax < developable_tol else 'no'}"
+    dev_tol = tol.developable_class
+    lines.append(f"  developable: base={'yes' if bmax < dev_tol else 'no'}"
                  f" (max|Delta|={bmax:.3e})  offset="
-                 f"{'yes' if omax < developable_tol else 'no'}"
+                 f"{'yes' if omax < dev_tol else 'no'}"
                  f" (max|Delta1|={omax:.3e})")
     lines.append("  predicted vs recomputed (max |deviation| over compared samples):")
     for row in report.rows:
         lines.append(f"    {row.name:28s} {_cell(row.deviation):>12s}  "
-                     f"[{verdict(row.deviation, compare_tol)}]"
+                     f"[{verdict(row.deviation, tol.theorem_compare)}]"
                      + ("  no samples outside guard bands"
                         if row.deviation is None else ""))
     lines.append(f"  striction transport residual: "

@@ -31,7 +31,7 @@ from scipy.interpolate import CubicSpline
 from .dual import DualScalar, cross3, norm3
 from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
 from .surface import (DEGENERATE_SIGMA, END_TRIM, DualCurvatureInvariants,
-                      SurfaceAnalysis, SurfaceSpec, analyze)
+                      SurfaceAnalysis, SurfaceSpec, _fd1, analyze)
 
 # Guard bands for the closed-form offset invariants (they divide by gamma
 # and by tan/cot of theta, which the formulas leave undefined at zero).
@@ -44,7 +44,10 @@ THETA_BAND = 1e-3
 @dataclass(frozen=True)
 class OffsetSpec:
     """How to build an offset: theorem-consistent profiles from integration
-    constants (c, c_star), or a fixed dual offset angle."""
+    constants (c, c_star), or a fixed dual offset angle (theta, theta_star)."""
+
+    PARAMS = {"theorem_consistent": ("c", "c_star"),
+              "constant_angle": ("theta", "theta_star")}
 
     mode: str
     c: float = 0.0
@@ -53,7 +56,7 @@ class OffsetSpec:
     theta_star: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("theorem_consistent", "constant_angle"):
+        if self.mode not in tuple(self.PARAMS):
             raise ConfigError(f"unknown offset mode {self.mode!r}")
 
     @classmethod
@@ -83,7 +86,6 @@ class ConstructedOffset:
     e1: np.ndarray          # read-only (3, n), like the analysis's fields
     c1: np.ndarray
     transport_residual: float
-    is_identity: bool
 
 
 def construct_offset(analysis: SurfaceAnalysis,
@@ -117,18 +119,14 @@ def construct_offset(analysis: SurfaceAnalysis,
                + (sin * a.t_star + sin_bar.dual * a.t))
     transport = float(np.max(norm3(e1_dual - cross3(c1, e1))))
 
-    h = float(a.u[1] - a.u[0])
-    sigma1 = norm3(np.gradient(e1, h, axis=1, edge_order=2))
+    sigma1 = norm3(_fd1(e1, float(a.u[1] - a.u[0])))
     if np.max(sigma1) < DEGENERATE_SIGMA:
         raise DegenerateOffset(
             "offset indicatrix is singular everywhere: the rotated director "
             "does not move (|e1'| = 0, e.g. gamma*sin(theta) = 0 identically)")
-
-    identity = bool(np.max(np.abs(th.real)) < 1e-12
-                    and np.max(np.abs(th.dual)) < 1e-12)
     return ConstructedOffset(
         theta_bar=th, cos_bar=cos_bar, sin_bar=sin_bar, e1=e1, c1=c1,
-        transport_residual=transport, is_identity=identity)
+        transport_residual=transport)
 
 
 @dataclass
@@ -219,7 +217,8 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
     indicatrix the pipeline cannot process."""
     a = analysis
     built = construct_offset(a, spec)
-    if built.is_identity:
+    th = built.theta_bar
+    if np.max(np.abs(th.real)) < 1e-12 and np.max(np.abs(th.dual)) < 1e-12:
         raise DegenerateOffset(
             "identity offset: predicted arc-speed gamma*sin(theta) "
             "vanishes, there is no separate surface to verify")
@@ -234,7 +233,6 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         raise DegenerateOffset(
             f"constructed offset has a singular indicatrix: {exc}") from exc
 
-    th = built.theta_bar
     pred = predicted_invariants(a, th, built.cos_bar, built.sin_bar)
 
     interior = np.zeros(a.n, dtype=bool)
@@ -287,29 +285,11 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         n_valid=int(np.sum(base_ok)))
 
 
-@dataclass
-class DevelopabilityEvidence:
-    """Both developability criteria in one place: the base surface is
-    developable iff theta_star is constant along a Mannheim pair, and the
-    offset is developable iff theta_star follows -(delta/gamma)tan(theta)."""
-
-    base_max_abs_Delta: float
-    theta_star_variation: float
-    offset_theta_star: np.ndarray    # NaN inside guard bands
-    offset_theta_star_valid: np.ndarray
-
-
-def developability_conditions(analysis: SurfaceAnalysis,
-                              theta_bar: DualScalar) -> DevelopabilityEvidence:
+def flattening_profile(analysis: SurfaceAnalysis, theta) -> np.ndarray:
+    """Offset distance theta* = -(delta/gamma) tan(theta) along which the
+    offset at angle theta is developable; NaN inside the guard bands
+    (|gamma| <= GAMMA_MIN or |cos(theta)| <= SIN_MIN)."""
     a = analysis
-    theta, theta_star = theta_bar.real, theta_bar.dual
-    gamma_ok = np.abs(a.gamma) > GAMMA_MIN
-    cos_ok = np.abs(np.cos(theta)) > SIN_MIN
-    ok = gamma_ok & cos_ok
+    ok = (np.abs(a.gamma) > GAMMA_MIN) & (np.abs(np.cos(theta)) > SIN_MIN)
     with np.errstate(divide="ignore", invalid="ignore"):
-        profile = np.where(ok, -(a.delta / a.gamma) * np.tan(theta), np.nan)
-    return DevelopabilityEvidence(
-        base_max_abs_Delta=float(np.max(np.abs(a.Delta))),
-        theta_star_variation=float(np.max(theta_star) - np.min(theta_star)),
-        offset_theta_star=profile,
-        offset_theta_star_valid=ok)
+        return np.where(ok, -(a.delta / a.gamma) * np.tan(theta), np.nan)

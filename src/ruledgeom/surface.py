@@ -260,6 +260,10 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     s_star = cumulative_simpson(Delta * sigma, x=u, initial=0.0)
     if not np.all(np.diff(s) > 0.0):
         raise DegenerateIndicatrix("arc length failed to increase strictly")
+    # a NaN or inf from any oracle reaches c, gamma or the running s_star
+    if not (np.isfinite(s_star[-1]) and np.isfinite(c).all()
+            and np.isfinite(gamma).all()):
+        raise ValueError("surface oracles returned non-finite samples")
 
     return SurfaceAnalysis(
         spec=spec, u=u, s=s, s_star=s_star, sigma=sigma, c=c, e=e, t=t, g=g,

@@ -155,6 +155,9 @@ OFFSET = {"mode": "constant_angle", "theta": np.pi / 4, "theta_star": 2 * SQ2}
     ({"surface": {"sampled_csv": 3}}, [], "'sampled_csv' must be a string"),
     ({}, ["mesh", "--v-range", "nan", "1", "--v-count", "3"], "--v-range entry"),
     ({}, ["mesh", "--v-range", "0", "inf"], "--v-range entry"),
+    # an unhashable mode must not reach a dict lookup (TypeError)
+    *[({"offsets": [{"mode": mode}]}, argv, "offsets[0].mode must be ")
+      for mode in (["theorem_consistent"], {}) for argv in ([], ["mesh"])],
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, overrides, argv, message):
     doc = {"surface": {"builtin": "hyperbolic_paraboloid"}, "offsets": [OFFSET]}

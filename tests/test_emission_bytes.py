@@ -76,6 +76,10 @@ VERIFY_SHA256 = {
     1: "f7593ccfb3b6a4cc568c5b75d0520d0e844e82cb4d54ce644b99b45c979f5b82",
 }
 
+# sha256 of the verify report texts for seeds 0-20, concatenated in order.
+VERIFY_SEEDS_0_20_SHA256 = (
+    "f8c7946852d1c113fc84a34efdf58a3a7eadd7fccde7e91e18d2a89e82db8836")
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -105,6 +109,11 @@ def test_verify_report_bytes(seed):
     text, failed = run_all(Tolerances(), seed)
     assert failed == 0
     assert sha256(text.encode()) == VERIFY_SHA256[seed]
+
+
+def test_verify_report_bytes_seeds_0_to_20():
+    text = "".join(run_all(Tolerances(), seed)[0] for seed in range(21))
+    assert sha256(text.encode()) == VERIFY_SEEDS_0_20_SHA256
 
 
 @pytest.mark.parametrize("n, overrides", sorted(OFFSET_REPORT_SHA256))

@@ -12,9 +12,10 @@ from ruledgeom.config import Tolerances
 from ruledgeom.dual import DualScalar, DualVector, dual_angle, dual_cos, dual_mul, dual_sin
 from ruledgeom.errors import DegenerateOffset
 from ruledgeom.io import render_offset_report
-from ruledgeom.offsets import (ComparisonRow, OffsetSpec, construct_offset,
-                               developability_conditions, offset_angle,
-                               predicted_invariants, verify_offset)
+from ruledgeom.offsets import (SIN_MIN, ComparisonRow, OffsetSpec,
+                               construct_offset, flattening_profile,
+                               offset_angle, predicted_invariants,
+                               verify_offset)
 from ruledgeom.surface import analyze
 
 SQ2 = np.sqrt(2.0)
@@ -77,7 +78,8 @@ def test_catalog_case_quarter_angle():
 def test_identity_offset_construction():
     a = saddle_analysis()
     built = construct_offset(a, OffsetSpec.constant(0.0, 0.0))
-    assert built.is_identity
+    assert not np.any(built.theta_bar.real)
+    assert not np.any(built.theta_bar.dual)
     assert np.max(np.abs(built.e1 - a.e)) < 1e-15
     assert np.max(np.abs(built.c1 - a.c)) < 1e-15
 
@@ -238,14 +240,13 @@ def test_offset_angle_law_along_theorem_offset():
 def test_report_fails_a_theorem_row_that_compares_no_sample():
     spec = OffsetSpec.theorem(2.8, 0.7)
     rep = verify_offset(cone_analysis(), spec)
-    text, ok = render_offset_report(0, spec, rep, 1e-4, 1e-3, 1e-3, 1e-7)
+    text, ok = render_offset_report(0, spec, rep, Tolerances())
     assert ok and "FAIL" not in text
     # the same report with the Delta1 row excluded entirely by the guards
     rows = [ComparisonRow(r.name, None, 0) if r.name == "Delta1" else r
             for r in rep.rows]
     excluded = dataclasses.replace(rep, rows=rows)
-    text2, ok2 = render_offset_report(0, spec, excluded, 1e-4, 1e-3, 1e-3,
-                                      1e-7)
+    text2, ok2 = render_offset_report(0, spec, excluded, Tolerances())
     assert not ok2
     assert ("    Delta1                         n/a(guard)  "
             "[FAIL: no sample compared]  no samples outside guard bands\n"
@@ -257,8 +258,7 @@ def test_report_fails_a_theorem_row_that_compares_no_sample():
     assert len(diff) == 1 and diff[0][1].split()[0] == "Delta1"
     # constant-angle rows stay informational
     info = OffsetSpec.constant(0.0, 1.0)
-    text3, ok3 = render_offset_report(0, info, excluded, 1e-4, 1e-3, 1e-3,
-                                      1e-7)
+    text3, ok3 = render_offset_report(0, info, excluded, Tolerances())
     assert ok3 and "FAIL" not in text3
 
 
@@ -271,7 +271,7 @@ def test_constant_angle_is_informational():
     a = saddle_analysis()
     spec = OffsetSpec.constant(np.pi / 4, 2.0 * SQ2)
     rep = verify_offset(a, spec)
-    text, _ = render_offset_report(0, spec, rep, 1e-4, 1e-3, 1e-3, 1e-7)
+    text, _ = render_offset_report(0, spec, rep, Tolerances())
     assert "[informational:" in text
     # the saddle's constant-angle offsets genuinely violate the Mannheim
     # frame condition; the residual is reported, not asserted
@@ -300,18 +300,36 @@ def test_ruling_angle_recovers_offset_angle():
 
 def test_cone_developability_evidence():
     a = cone_analysis()
-    ev = developability_conditions(a, offset_angle(a, 2.8, 0.7))
-    assert ev.base_max_abs_Delta < 1e-8
-    assert ev.theta_star_variation < 1e-8
+    th = offset_angle(a, 2.8, 0.7)
+    rep = verify_offset(a, OffsetSpec.theorem(2.8, 0.0))
+    assert rep.base_max_abs_Delta < 1e-8
+    assert np.max(th.dual) - np.min(th.dual) < 1e-8
     # delta = 0: flattening distance profile vanishes -> the zero-distance
     # offset is developable
-    assert np.max(np.abs(ev.offset_theta_star[ev.offset_theta_star_valid])) < 1e-12
-    rep = verify_offset(a, OffsetSpec.theorem(2.8, 0.0))
+    assert np.nanmax(np.abs(flattening_profile(a, th.real))) < 1e-12
     assert rep.offset_max_abs_Delta < 1e-4
 
 
 def test_saddle_distance_profile_not_constant():
     a = saddle_analysis()
-    ev = developability_conditions(a, offset_angle(a, 0.0, 0.0))
-    assert ev.base_max_abs_Delta > 0.4
-    assert ev.theta_star_variation == pytest.approx(SQ2, abs=1e-9)
+    theta_star = offset_angle(a, 0.0, 0.0).dual
+    assert np.max(np.abs(a.Delta)) > 0.4
+    assert np.max(theta_star) - np.min(theta_star) == pytest.approx(SQ2,
+                                                                    abs=1e-9)
+
+
+def test_flattening_profile_is_nan_exactly_inside_the_guards():
+    # gamma = 0 on the saddle: no sample is outside the gamma guard
+    saddle = saddle_analysis()
+    assert np.isnan(flattening_profile(saddle, np.full(saddle.n, 0.5))).all()
+    # on the cone (gamma = 1) only samples with |cos(theta)| <= SIN_MIN
+    a = cone_analysis()
+    theta = np.full(a.n, 0.5)
+    theta[[0, 700, a.n - 1]] = np.pi / 2
+    profile = flattening_profile(a, theta)
+    assert np.isnan(profile[[0, 700, a.n - 1]]).all()
+    assert np.isfinite(np.delete(profile, [0, 700, a.n - 1])).all()
+    # the theorem angle sweeps [0.3, 2.8] across pi/2
+    theta = offset_angle(a, 2.8, 0.7).real
+    assert np.array_equal(np.isfinite(flattening_profile(a, theta)),
+                          np.abs(np.cos(theta)) > SIN_MIN)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from ruledgeom import catalog
+from ruledgeom.config import Tolerances
 from ruledgeom.errors import DegenerateIndicatrix
 from ruledgeom.io import render_offset_report, surface_grid
 from ruledgeom.offsets import OffsetSpec, verify_offset
@@ -311,9 +312,10 @@ def test_evaluate_surface():
 def test_is_developable():
     offset = OffsetSpec.constant(np.pi / 4, 1.0)
 
-    def developable(spec):   # the report's verdict at developable_tol=1e-8
+    def developable(spec):   # the report's verdict at developable_class=1e-8
         rep = verify_offset(analyze(spec), offset)
-        text, _ = render_offset_report(0, offset, rep, 1e-4, 1e-3, 1e-3, 1e-8)
+        text, _ = render_offset_report(
+            0, offset, rep, Tolerances(developable_class=1e-8))
         return "developable: base=yes " in text, rep.base_max_abs_Delta
 
     flag, m = developable(catalog.cone(np.pi / 4))
@@ -423,8 +425,13 @@ def _nan_at(fn, index):
 
 @pytest.mark.parametrize("field, error, message", [
     ("director", ValueError, "not a unit field"),
-    ("director_d1", DegenerateIndicatrix, "indicatrix speed falls to nan")],
-    ids=["director", "director_d1"])
+    ("director_d1", DegenerateIndicatrix, "indicatrix speed falls to nan"),
+    ("base", ValueError, "non-finite"),
+    ("base_d1", ValueError, "non-finite"),
+    ("base_d2", ValueError, "non-finite"),
+    ("director_d2", ValueError, "non-finite")],
+    ids=["director", "director_d1", "base", "base_d1", "base_d2",
+         "director_d2"])
 def test_nan_sample_fails_closed(field, error, message):
     # a NaN compares False, so a guard written as `defect > tol` let it pass
     spec = catalog.cone(np.pi / 4, sample_count=201)
@@ -444,14 +451,18 @@ def test_sampled_surface_rejects_nan_director():
 def test_frame_ode_nan_defect_propagates():
     # a NaN second derivative poisons the t and g rows at one sample; the
     # real maximum must not read it as a pass
-    spec = catalog.cone(np.pi / 4, (0.0, 3.0), 201)
-    spec = replace(spec, director_d2=_nan_at(spec.director_d2, 100))
-    res = frame_ode_residual(analyze(spec))
+    a = analyze(catalog.cone(np.pi / 4, (0.0, 3.0), 201))
+    e_uu = np.array(a.e_uu)
+    e_uu[:, 100] = np.nan
+    res = frame_ode_residual(replace(a, e_uu=e_uu))
     assert np.isnan(res.real_max) and np.isnan(res.dual_max)
 
 
 def test_radius_identity_nan_defect_propagates():
-    # a NaN base velocity leaves the real rows finite and the dual rows NaN
-    spec = catalog.small_circle(np.pi / 6, 1.0, (0.0, 3.0), 201)
-    a = analyze(replace(spec, base_d1=_nan_at(spec.base_d1, 100)))
+    # a NaN dual conical curvature leaves the real rows finite and the
+    # dual rows NaN
+    a = analyze(catalog.small_circle(np.pi / 6, 1.0, (0.0, 3.0), 201))
+    gamma_dual = np.array(a.gamma_dual)
+    gamma_dual[100] = np.nan
+    a = replace(a, gamma_dual=gamma_dual)
     assert np.isnan(a.invariants().radius_identity_residual(a.gamma_bar()))
