@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .config import RunConfig, finite_number
 from .errors import RuledGeomError
-from .io import (render_offset_report, surface_grid, write_analysis_csv,
-                 write_obj)
+from .io import (obj_faces, render_offset_report, surface_grid,
+                 write_analysis_csv, write_obj)
 from .offsets import construct_offset, verify_offset
 from .surface import analyze
 from .verify import run_all
@@ -129,14 +129,16 @@ def cmd_mesh(args) -> int:
     analysis = analyze(cfg.build_surface())
     out = _out_dir(args, cfg)
     base_path = out / "base.obj"
+    faces = obj_faces(analysis.n, args.v_count)   # shared by every mesh
     write_obj(base_path,
-              surface_grid(analysis.c, analysis.e, v_range, args.v_count))
+              surface_grid(analysis.c, analysis.e, v_range, args.v_count),
+              faces)
     print(f"wrote {base_path}")
     for i, spec in enumerate(cfg.offsets):
         built = construct_offset(analysis, spec)
         path = out / f"offset_{i}.obj"
         write_obj(path, surface_grid(built.c1, built.e1, v_range,
-                                     args.v_count))
+                                     args.v_count), faces)
         print(f"wrote {path}")
     return EXIT_OK
 

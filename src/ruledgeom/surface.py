@@ -12,8 +12,8 @@ field e(u) (its spherical indicatrix) and a base curve.  The pipeline
      delta = <dc/ds, e>, conical curvature gamma, and the dual arc-length
      part s* = integral of Delta ds,
   6. optionally derives the dual curvature quantities (curvature radius,
-     spherical radius of curvature, unit Darboux axis) with exact dual
-     arithmetic.
+     spherical radius of curvature, and, when read, the unit Darboux
+     axis) with exact dual arithmetic.
 
 Derivatives come from analytic oracles when the spec provides them and
 from second-order central differences on the grid otherwise; endpoint
@@ -22,6 +22,7 @@ samples use one-sided stencils and are excluded from residual claims.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -95,11 +96,19 @@ class Reparametrization:
 @dataclass
 class DualCurvatureInvariants:
     """Per-sample dual curvature R, dual spherical radius of curvature rho,
-    and the unit vector along the dual Darboux axis."""
+    and the unit vector d0 along the dual Darboux axis, built on first
+    read from cos(rho) and the dual frame's e and g."""
 
-    R: DualScalar        # fields are (n,) arrays
+    R: DualScalar        # fields are (n,) arrays; R = sin(rho)
     rho: DualScalar      # fields are (n,) arrays
-    d0: DualVector       # fields are (3, n) arrays
+    cos_rho: DualScalar = field(repr=False)
+    frame_eg: tuple[DualVector, DualVector] = field(repr=False)
+
+    @functools.cached_property
+    def d0(self) -> DualVector:
+        """cos(rho) e + sin(rho) g; fields are (3, n) arrays."""
+        e_t, g_t = self.frame_eg
+        return e_t.scale(self.cos_rho) + g_t.scale(self.R)
 
     def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
         """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""
@@ -226,6 +235,8 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         raise DegenerateIndicatrix(
             f"indicatrix speed falls to {np.min(sigma):.3e}: the director "
             "is (locally) constant")
+    if not np.isfinite(sigma).all():   # +inf passes the guard above
+        raise ValueError("surface oracles returned non-finite samples")
 
     p = _eval_curve(spec.base, u)
     p_u = (_eval_curve(spec.base_d1, u) if spec.base_d1 is not None
@@ -274,9 +285,9 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
 
 
 def dual_invariants(analysis: SurfaceAnalysis) -> DualCurvatureInvariants:
-    """Dual curvature 1/sqrt(1 + gamma_bar^2), the matching spherical
-    radius of curvature, and the unit dual Darboux vector, all computed
-    with exact dual arithmetic per sample."""
+    """Dual curvature 1/sqrt(1 + gamma_bar^2) and the matching spherical
+    radius of curvature, computed with exact dual arithmetic per sample;
+    the unit dual Darboux vector is built from them when first read."""
     gb = analysis.gamma_bar()
     R = dual_div(DualScalar(1.0, 0.0), dual_sqrt(gb * gb + 1.0))
     cos_rho = gb * R
@@ -286,8 +297,8 @@ def dual_invariants(analysis: SurfaceAnalysis) -> DualCurvatureInvariants:
     rho_star = np.cos(rho) * sin_rho.dual - np.sin(rho) * cos_rho.dual
 
     e_t, _, g_t = analysis.dual_frame()
-    d0 = e_t.scale(cos_rho) + g_t.scale(sin_rho)
-    return DualCurvatureInvariants(R=R, rho=DualScalar(rho, rho_star), d0=d0)
+    return DualCurvatureInvariants(R=R, rho=DualScalar(rho, rho_star),
+                                   cos_rho=cos_rho, frame_eg=(e_t, g_t))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Property: every cell the bulk writers emit is format(x, ".17g").
 
-The writers format whole blocks of rows with one %-template; the
+The writers format whole blocks of cells with a numpy kernel; the
 reference here formats value by value, as a row loop would.
 """
 
+import json
 from types import SimpleNamespace
 from unittest import mock
 
@@ -13,11 +14,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ruledgeom import io
+from ruledgeom.cli import main
 from ruledgeom.io import ANALYSIS_COLUMNS, write_analysis_csv, write_obj
 
 EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                2.2250738585072009e-308, -1e-310, 1e308, -1e308,
-               1.7976931348623157e308, 1e-308, -1e-308, 0.1, 1 / 3]
+               1.7976931348623157e308, 1e-308, -1e-308, 0.1, 1 / 3,
+               # just below a power of ten: 17 nines, one decade down
+               9.9999999999999995e-07, 0.099999999999999992,
+               # exact ties at the 17th digit (round half to even)
+               1000000000000000.25, 1000000000000000.75,
+               1000000000000001.25]
 
 cells = st.one_of(st.sampled_from(EDGE_VALUES),
                   st.floats(allow_nan=True, allow_infinity=True,
@@ -78,3 +85,70 @@ def test_csv_cells_are_17g(tmp_path_factory, table, block):
     want = [",".join(ANALYSIS_COLUMNS)]
     want += [",".join(ref(x) for x in row) for row in table]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def _kernel_text(values: np.ndarray) -> bytes:
+    return io._format_rows(values.reshape(-1, 4), b"", b",")
+
+
+def _reference_text(values: np.ndarray) -> bytes:
+    rows = values.reshape(-1, 4).tolist()
+    return "".join(",".join("%.17g" % x for x in row) + "\n"
+                   for row in rows).encode()
+
+
+def _differential_values() -> np.ndarray:
+    """Over a million cells where a short-cut digit generator goes wrong:
+    both neighbours of every 10^k, 10^k (1 +- j 2^-53), the edge values
+    and random bit patterns (NaNs, infinities and subnormals included)."""
+    rng = np.random.default_rng(20111005)
+    p = 10.0 ** np.arange(-40, 41)
+    j = np.arange(1, 2049) * 2.0 ** -53
+    near = [np.nextafter(p, 0.0), np.nextafter(p, np.inf),
+            (p[:, None] * (1.0 + j)).ravel(), (p[:, None] * (1.0 - j)).ravel()]
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 700_000,
+                        dtype=np.int64).view(np.float64)
+    specials = np.array(EDGE_VALUES + [-1.7976931348623157e308, 1e-320,
+                                       -2.5e-315, 1e16, 1e17, 1e-5, 1e-4])
+    values = np.concatenate(near + [bits, specials, -specials])
+    return np.concatenate([values, np.zeros(-len(values) % 4)])
+
+
+def test_kernel_matches_17g_on_a_million_values():
+    values = _differential_values()
+    assert len(values) >= 1_000_000
+    assert _kernel_text(values) == _reference_text(values)
+
+
+def test_fallback_takes_only_uncertified_cells():
+    certified = [0.0, -0.0, 1.0, 0.5, 1e16, 9.9999999999999995e-07,
+                 0.099999999999999992, 1e-280, -1e280, 123.456]
+    uncertified = [np.inf, -np.inf, np.nan, 5e-324, -1e-310,
+                   1.7976931348623157e308, 1e-281, 1000000000000000.25,
+                   1000000000000000.75, 1000000000000001.25]
+    values = np.array(certified + uncertified)
+    with mock.patch.object(io, "_fallback", wraps=io._fallback) as fb:
+        text = _kernel_text(values)
+    assert text == _reference_text(values)
+    taken = [repr(float(c.args[0])) for c in fb.call_args_list]
+    assert sorted(taken) == sorted(map(repr, uncertified))
+
+
+def test_readme_cone_needs_no_fallback(tmp_path):
+    # the README config: every cell of its analysis and meshes is
+    # formatted by the vectorized path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "surface": {"builtin": "cone", "alpha": 0.7853981633974483},
+        "param_range": [0.0, 3.5355339059327378], "sample_count": 2001,
+        "offsets": [
+            {"mode": "theorem_consistent", "c": 2.8, "c_star": 0.7},
+            {"mode": "constant_angle", "theta": 0.0,
+             "theta_star": 5.656854249492381}]}))
+    with mock.patch.object(io, "_fallback",
+                           side_effect=AssertionError("fallback")):
+        for command in ("analyze", "mesh"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "analysis.csv").stat().st_size > 0
+    assert (tmp_path / "base.obj").stat().st_size > 0

@@ -11,6 +11,7 @@ Closed forms used below (derived by direct differentiation):
 * helicoid pitch p: striction = axis, gamma = delta = 0, Delta = p.
 """
 
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -438,6 +439,24 @@ def test_nan_sample_fails_closed(field, error, message):
     spec = replace(spec, **{field: _nan_at(getattr(spec, field), 50)})
     with pytest.raises(error, match=message):
         analyze(spec)
+
+
+def test_inf_speed_sample_names_its_cause():
+    # +inf passes the speed guard; past it the quadrature warned, then
+    # blamed the arc length for failing to increase
+    spec = catalog.small_circle(np.pi / 6, 1.0, (0.0, 3.0), 201)
+    d1 = spec.director_d1
+
+    def poisoned(u):
+        out = np.array(d1(u), dtype=float)
+        out[100, 0] = np.inf
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^surface oracles returned "
+                                             "non-finite samples$"):
+            analyze(replace(spec, director_d1=poisoned))
 
 
 def test_sampled_surface_rejects_nan_director():
