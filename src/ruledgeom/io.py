@@ -7,7 +7,8 @@ ten in exact double-double arithmetic, rounds to 17 digits and lays out
 the fixed or exponent form of '%g'.  Only the cells it cannot certify
 are formatted by '%.17g' itself, one by one: a 17th-digit fraction
 within _TIE_MARGIN of 1/2 (exact ties included), non-finite values, and
-magnitudes outside [1e-280, 1e280].  Face indices are written with '%d'.
+magnitudes outside [1e-280, 1e280].  Face indices go through the same
+digit code (_bcd8) as integers.
 """
 
 from __future__ import annotations
@@ -152,6 +153,25 @@ def _bcd8(v: np.ndarray) -> np.ndarray:
     return q | ((x - q * _U64(10)) << _U64(8))
 
 
+def _uint_words(v: np.ndarray) -> list[np.ndarray]:
+    """The decimal text of each uint64 v in w words (w = 1, 2 or 3, as few
+    as the largest v needs), the leading digit first: ASCII digits from
+    the leading one on, right-aligned, and zero bytes (padding) before."""
+    parts = [v]
+    for limit in (10 ** 8, 10 ** 16):
+        if v.max() >= limit:
+            q = parts[0] // _U64(10 ** 8)
+            parts[0:1] = [q, parts[0] - q * _U64(10 ** 8)]
+    # leading zero bytes: 8w minus the number of digits
+    p10 = np.array([10 ** k for k in range(1, 20)], _U64)
+    lead = 8 * len(parts) - 1 - np.searchsorted(p10, v, side="right")
+    # zero_char[z]: '0' in the bytes from z on, OR-ed onto digit values
+    zero_char = np.array([0x3030303030303030 << 8 * z & (1 << 64) - 1
+                          for z in range(9)], _U64)
+    return [_bcd8(p) | zero_char[np.clip(lead - 8 * j, 0, 8)]
+            for j, p in enumerate(parts)]
+
+
 def _byte_len(w: np.ndarray) -> np.ndarray:
     """Bytes up to the highest nonzero one of each w (exact: a digit byte
     is at most 9, so the float conversion never rounds up a power of 2)."""
@@ -284,12 +304,21 @@ def obj_faces(n_u: int, n_v: int) -> bytes:
     n = (n_u - 1) * (n_v - 1)
     blocks = []
     for start in range(0, n, BLOCK_ROWS):
-        i, j = np.divmod(np.arange(start, min(start + BLOCK_ROWS, n)), n_v - 1)
+        i, j = np.divmod(np.arange(start, min(start + BLOCK_ROWS, n),
+                                   dtype=_U64), n_v - 1)
         a = i * n_v + j + 1
-        quads = np.column_stack([a, a + n_v, a + n_v + 1, a + 1])
-        blocks.append(("f %d %d %d %d\n" * len(quads))
-                      % tuple(quads.ravel().tolist()))
-    return "".join(blocks).encode()
+        digits = _uint_words(np.stack([a, a + n_v, a + n_v + 1, a + 1], 1))
+        # "f ", then per corner its digit words and " " (the last "\n")
+        w = len(digits)
+        out = np.empty((len(a), 1 + 4 * (w + 1)), _U64)
+        out[:, 0] = int.from_bytes(b"f ", "little")
+        corners = out[:, 1:].reshape(len(a), 4, w + 1)
+        for k, d in enumerate(digits):
+            corners[:, :, k] = d
+        corners[:, :, w] = ord(" ")
+        corners[:, -1, w] = ord("\n")
+        blocks.append(out.tobytes().translate(None, b"\0"))
+    return b"".join(blocks)
 
 
 def write_obj(path, grid: np.ndarray, faces: Optional[bytes] = None) -> None:

@@ -31,7 +31,8 @@ from scipy.interpolate import CubicSpline
 from .dual import DualScalar, cross3, norm3
 from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
 from .surface import (DEGENERATE_SIGMA, END_TRIM, DualCurvatureInvariants,
-                      SurfaceAnalysis, SurfaceSpec, _fd1, analyze)
+                      SurfaceAnalysis, SurfaceSpec, _fd1, analyze,
+                      grid_spline)
 
 # Guard bands for the closed-form offset invariants (they divide by gamma
 # and by tan/cot of theta, which the formulas leave undefined at zero).
@@ -223,8 +224,10 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
             "identity offset: predicted arc-speed gamma*sin(theta) "
             "vanishes, there is no separate surface to verify")
     surface = SurfaceSpec(   # the splines' one consumer is this re-analysis
-        director=CubicSpline(a.u, built.e1.T, axis=0),
-        base=CubicSpline(a.u, built.c1.T, axis=0),
+        director=grid_spline(CubicSpline(a.u, built.e1.T, axis=0), a.u,
+                             built.e1),
+        base=grid_spline(CubicSpline(a.u, built.c1.T, axis=0), a.u,
+                         built.c1),
         param_range=(float(a.u[0]), float(a.u[-1])), sample_count=a.n,
         grid=a.u, name=f"{a.spec.name or 'surface'}+offset[{spec.mode}]")
     try:

@@ -187,6 +187,28 @@ def _eval_curve(fn: Callable, u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
+def grid_spline(spline: CubicSpline, u: np.ndarray,
+                y: np.ndarray) -> Callable:
+    """The curve callable of `spline`, a cubic spline fitted to the (3, n)
+    samples y on the grid u, that skips evaluating it at the grid.
+
+    PPoly evaluates a piece at its left end as 0.0 + y + 0*(...), so at
+    every node but the last the spline reads y + 0.0 (y itself, with -0.0
+    read as +0.0); only the last node, the right end of the last piece, is
+    evaluated.  Off the grid, and when a coefficient is not finite (such a
+    piece reads NaN at its node), the spline itself is called."""
+    def curve(x):
+        # a sum is finite only if every term is (an overflow takes the
+        # spline's own path, which gives the same result)
+        if not ((x is u or np.array_equal(x, u))
+                and np.isfinite(np.sum(spline.c[:3]))):
+            return spline(x)
+        out = (y + 0.0).T
+        out[-1] = spline(u[-1:])[0]
+        return out
+    return curve
+
+
 def _fd1(y: np.ndarray, h: float) -> np.ndarray:
     """Second-order d/du of a (3, n) field on a uniform grid."""
     d = np.empty_like(y)
@@ -371,18 +393,22 @@ def sampled_surface(u: np.ndarray, directors: np.ndarray,
     """Build a spec from (n, 3) director and base-point samples, one row
     per sample (e.g. re-ingested CSV output).
 
-    The analysis runs on the given grid, where the callables reproduce the
-    samples exactly; off-grid queries use cubic interpolation.  Directors
-    are renormalized (17-digit round trips drift below 1e-12)."""
+    Directors are renormalized (17-digit round trips drift below 1e-12).
+    The callables are interpolating cubic splines (see grid_spline): at
+    every grid node but the last they return the renormalized directors
+    and the bases with -0.0 read as +0.0; the last node is the end of the
+    splines' last piece, which may differ from its sample in the last
+    bits.  Off-grid queries interpolate."""
     u = np.asarray(u, dtype=float)
     e = np.asarray(directors, dtype=float).T
     norms = norm3(e)
     if not np.max(np.abs(norms - 1.0)) <= DIRECTOR_UNIT_TOL:   # NaN fails too
         raise ValueError("sampled directors are not unit vectors")
     e = e / norms
+    p = np.asarray(bases, dtype=float)
     return SurfaceSpec(
-        director=CubicSpline(u, e.T, axis=0),
-        base=CubicSpline(u, np.asarray(bases, dtype=float), axis=0),
+        director=grid_spline(CubicSpline(u, e.T, axis=0), u, e),
+        base=grid_spline(CubicSpline(u, p, axis=0), u, p.T),
         param_range=(float(u[0]), float(u[-1])), sample_count=len(u),
         grid=u, name=name)
 

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -132,6 +133,29 @@ def test_fallback_takes_only_uncertified_cells():
     assert text == _reference_text(values)
     taken = [repr(float(c.args[0])) for c in fb.call_args_list]
     assert sorted(taken) == sorted(map(repr, uncertified))
+
+
+@pytest.mark.parametrize("top, n_words", [(10 ** 8, 1), (10 ** 16, 2),
+                                           (2 ** 64, 3)])
+def test_uint_words_are_the_decimal_text(top, n_words):
+    edges = [0, 1, 9, 2 ** 64 - 1] + [10 ** k + d for k in range(1, 20)
+                                      for d in (-1, 0, 1)]
+    randoms = np.random.default_rng(5).integers(0, 2 ** 64, 400, np.uint64)
+    v = np.array([x for x in edges if x < top]
+                 + [x % top for x in randoms.tolist()], np.uint64)
+    words = io._uint_words(v)
+    assert len(words) == n_words
+    text = np.stack(words, 1).tobytes().translate(None, b"\0")
+    assert text == b"".join(b"%d" % x for x in v.tolist())
+
+
+@pytest.mark.parametrize("n_u, n_v", [(2, 2), (5, 3), (3, 5001), (2000, 2),
+                                      (2001, 25), (4099, 3)])
+def test_face_lines_are_the_d_text(n_u, n_v):
+    want = "".join(f"f {a} {a + n_v} {a + n_v + 1} {a + 1}\n"
+                   for i in range(n_u - 1) for a in
+                   range(i * n_v + 1, i * n_v + n_v))
+    assert io.obj_faces(n_u, n_v) == want.encode()
 
 
 def test_readme_cone_needs_no_fallback(tmp_path):

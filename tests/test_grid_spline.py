@@ -1,0 +1,117 @@
+"""The offset's and a sampled surface's curve callables read their samples
+at the grid: `grid_spline` must equal the interpolating spline it wraps
+bit for bit, at the grid and off it."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline, PPoly
+
+from ruledgeom import catalog, io
+from ruledgeom.dual import norm3
+from ruledgeom.offsets import OffsetSpec, construct_offset, verify_offset
+from ruledgeom.surface import analyze, grid_spline, sampled_surface
+
+N = 20001
+SQ2 = math.sqrt(2.0)
+
+# the four surface/offset job shapes of the benchmark's pipeline workload
+JOBS = {
+    "cone": (lambda: catalog.cone(
+        math.pi / 4, (0.0, 2.5 / math.sin(math.pi / 4)), N),
+        OffsetSpec.theorem(2.8, 0.7)),
+    "small_circle": (lambda: catalog.small_circle(
+        math.pi / 6, 1.0, (0.0, 2.5 / math.sin(math.pi / 6)), N),
+        OffsetSpec.theorem(2.8, 1.0)),
+    "hyperbolic_paraboloid": (lambda: catalog.hyperbolic_paraboloid(
+        (-1.0, 1.0), N), OffsetSpec.constant(math.pi / 4, 2.0 * SQ2)),
+    "helicoid": (lambda: catalog.helicoid(0.4, (0.0, 2 * math.pi), N),
+                 OffsetSpec.constant(0.5, 1.0)),
+}
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def check(u, y):
+    """grid_spline of the spline fitted to the (3, n) samples y equals
+    that spline at the grid (the same and a copied grid) and off it."""
+    spline = CubicSpline(u, y.T, axis=0)
+    curve = grid_spline(spline, u, y)
+    for x in (u, u.copy()):
+        assert_bitwise(curve(x), spline(x))
+    mid = 0.5 * (u[1:] + u[:-1])
+    for x in (mid, u[::2], u[:-1], u[1:], np.nextafter(u, np.inf),
+              u[len(u) // 3]):
+        assert_bitwise(curve(x), spline(x))
+    return spline, curve
+
+
+@pytest.mark.parametrize("job", list(JOBS))
+def test_offset_curves_equal_their_splines(job):
+    make, spec = JOBS[job]
+    a = analyze(make())
+    built = construct_offset(a, spec)
+    for y in (built.e1, built.c1):
+        check(a.u, y)
+
+
+def test_sampled_csv_curves_equal_their_splines(tmp_path):
+    a = analyze(catalog.small_circle(math.pi / 6, 1.0, (0.0, 3.0), 2001))
+    path = tmp_path / "sampled.csv"
+    with open(path, "wb") as fh:
+        fh.write((",".join(io.SAMPLED_COLUMNS) + "\n").encode())
+        io._write_table(fh, np.vstack([a.u, a.e, a.c]).T, b"", b",")
+    u, e, p = io.read_sampled_csv(path)
+    spec = sampled_surface(u, e, p)
+    e_unit = e.T / norm3(e.T)      # sampled_surface renormalizes
+    for fn, y in ((spec.director, e_unit), (spec.base, p.T)):
+        spline, _ = check(u, y)
+        for x in (u, 0.5 * (u[1:] + u[:-1])):
+            assert_bitwise(fn(x), spline(x))
+
+
+def test_negative_zero_reads_as_its_spline_does():
+    u = np.linspace(0.0, 1.0, 11)
+    y = np.vstack([np.sin(u), np.cos(u), u * u])
+    y[0, 0] = y[1, 4] = y[2, 7] = y[2, 10] = -0.0
+    spline, curve = check(u, y)
+    assert np.isfinite(spline.c).all()
+    out = curve(u)
+    assert not np.signbit(out[[0, 4, 7], [0, 1, 2]]).any()   # -0.0 -> +0.0
+
+
+def test_overflowing_fit_is_evaluated_as_is():
+    # a +-1e300 pair on a fine grid: the slopes and the spline's
+    # coefficients overflow, and its pieces read NaN at their nodes
+    u = np.linspace(0.0, 1e-3, 9)
+    y = np.vstack([np.zeros(9), np.linspace(-1.0, 1.0, 9), np.ones(9)])
+    y[0, 3], y[0, 4], y[2, 5] = 1e300, -1e300, -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        spline, curve = check(u, y)
+        out = curve(u)
+    assert not np.isfinite(spline.c).all()
+    assert np.isnan(out).any()
+
+
+def test_verify_offset_evaluates_splines_at_one_point_only():
+    a = analyze(JOBS["small_circle"][0]())
+    sizes = []
+    call = PPoly.__call__
+
+    def spy(self, x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return call(self, x, *args, **kwargs)
+
+    with mock.patch.object(PPoly, "__call__", spy):
+        verify_offset(a, JOBS["small_circle"][1])
+    assert sizes == [1, 1]      # the last node of e1 and of c1
