@@ -126,11 +126,12 @@ def helicoid(pitch: float, param_range=(0.0, 2.0 * np.pi),
         name=f"helicoid(pitch={pitch:g})")
 
 
+# name -> (builder, required parameters, optional parameters)
 _BUILDERS = {
-    "hyperbolic_paraboloid": (hyperbolic_paraboloid, ()),
-    "cone": (cone, ("alpha",)),
-    "small_circle": (small_circle, ("beta", "radius")),
-    "helicoid": (helicoid, ("pitch",)),
+    "hyperbolic_paraboloid": (hyperbolic_paraboloid, (), ()),
+    "cone": (cone, ("alpha",), ()),
+    "small_circle": (small_circle, ("beta",), ("radius",)),
+    "helicoid": (helicoid, ("pitch",), ()),
 }
 
 
@@ -145,12 +146,12 @@ def builtin_surface(name: str, params: dict, param_range,
     if name not in _BUILDERS:
         raise ConfigError(
             f"unknown builtin surface {name!r}; choose from {builtin_names()}")
-    builder, allowed = _BUILDERS[name]
-    extra = set(params) - set(allowed)
+    builder, required, optional = _BUILDERS[name]
+    extra = set(params) - {*required, *optional}
     if extra:
         raise ConfigError(
             f"surface {name!r} does not accept parameters {sorted(extra)}")
-    missing = [k for k in allowed if k != "radius" and k not in params]
+    missing = [k for k in required if k not in params]
     if missing:
         raise ConfigError(f"surface {name!r} requires parameters {missing}")
     return builder(param_range=tuple(param_range), sample_count=sample_count,

@@ -2,7 +2,8 @@
 
 Parsing is fail-closed: unknown keys anywhere in the document are
 rejected so that a misspelled tolerance or parameter name cannot silently
-fall back to a default.
+fall back to a default, and a given surface is built while parsing, so
+that an invalid one fails every command.
 """
 
 from __future__ import annotations
@@ -81,19 +82,17 @@ class Tolerances:
 
 _TOP_KEYS = {"surface", "param_range", "sample_count", "offsets", "seed",
              "tolerances", "out_dir"}
-_SURFACE_KEYS = {"builtin", "sampled_csv", "alpha", "beta", "radius", "pitch"}
 _OFFSET_KEYS = {"mode"}.union(*OffsetSpec.PARAMS.values())
 
 
 @dataclass
 class RunConfig:
-    """One surface, any number of offsets (as OffsetSpec values), seeded
-    randomness.  Only the seed and the tolerances matter to `verify`, so
-    the surface may be left out (None); build_surface then fails."""
+    """One surface (its SurfaceSpec), any number of offsets (as OffsetSpec
+    values), seeded randomness.  Only the seed and the tolerances matter
+    to `verify`, so the surface may be left out (None); build_surface
+    then fails."""
 
-    surface: dict | None = None
-    param_range: tuple[float, float] = (-1.0, 1.0)
-    sample_count: int = 2001
+    surface: SurfaceSpec | None = None
     offsets: list[OffsetSpec] = field(default_factory=list)
     seed: int = 42
     tolerances: Tolerances = field(default_factory=Tolerances)
@@ -111,9 +110,6 @@ class RunConfig:
         if "surface" in doc:   # verify needs none
             if not isinstance(surface, dict):
                 raise ConfigError("config requires a single 'surface' object")
-            bad = set(surface) - _SURFACE_KEYS
-            if bad:
-                raise ConfigError(f"unknown surface key(s) {sorted(bad)}")
             if ("builtin" in surface) == ("sampled_csv" in surface):
                 raise ConfigError("surface must name exactly one of "
                                   "'builtin' or 'sampled_csv'")
@@ -127,8 +123,8 @@ class RunConfig:
                     raise ConfigError(
                         "sampled_csv surfaces take no parameters "
                         f"{sorted(extra)}: the CSV fixes the grid")
-            for k in set(surface) - {kind}:
-                finite_number(surface[k], f"surface {k!r}")
+            params = {k: finite_number(v, f"surface {k!r}")
+                      for k, v in surface.items() if k != kind}
 
         rng = doc.get("param_range", [-1.0, 1.0])
         if (not isinstance(rng, (list, tuple)) or len(rng) != 2):
@@ -182,9 +178,15 @@ class RunConfig:
         if not isinstance(out_dir, str):
             raise ConfigError("out_dir must be a string")
 
-        return cls(surface=surface, param_range=(lo, hi), sample_count=n,
-                   offsets=parsed, seed=seed, tolerances=tolerances,
-                   out_dir=out_dir)
+        if "surface" not in doc:
+            spec = None
+        elif kind == "sampled_csv":
+            spec = sampled_surface(*read_sampled_csv(surface[kind]),
+                                   name=f"sampled:{surface[kind]}")
+        else:
+            spec = builtin_surface(surface[kind], params, (lo, hi), n)
+        return cls(surface=spec, offsets=parsed, seed=seed,
+                   tolerances=tolerances, out_dir=out_dir)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -200,9 +202,4 @@ class RunConfig:
     def build_surface(self) -> SurfaceSpec:
         if self.surface is None:
             raise ConfigError("config requires a single 'surface' object")
-        s = dict(self.surface)
-        if "sampled_csv" in s:
-            u, e, p = read_sampled_csv(s["sampled_csv"])
-            return sampled_surface(u, e, p, name=f"sampled:{s['sampled_csv']}")
-        name = s.pop("builtin")
-        return builtin_surface(name, s, self.param_range, self.sample_count)
+        return self.surface

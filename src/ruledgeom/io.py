@@ -321,7 +321,7 @@ def obj_faces(n_u: int, n_v: int) -> bytes:
     return b"".join(blocks)
 
 
-def write_obj(path, grid: np.ndarray, faces: Optional[bytes] = None) -> None:
+def write_obj(path, grid: np.ndarray, faces: bytes) -> None:
     """Quad mesh of a (n_u, n_v, 3) vertex grid.
 
     Vertices are emitted u-major; `faces` is obj_faces(n_u, n_v), which
@@ -329,7 +329,7 @@ def write_obj(path, grid: np.ndarray, faces: Optional[bytes] = None) -> None:
     n_u, n_v, _ = grid.shape
     with open(path, "wb") as fh:
         _write_table(fh, grid.reshape(n_u * n_v, 3), b"v ", b" ")
-        fh.write(obj_faces(n_u, n_v) if faces is None else faces)
+        fh.write(faces)
 
 
 def surface_grid(c: np.ndarray, e: np.ndarray, v_range,
@@ -390,11 +390,13 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
                  f"{'yes' if omax < dev_tol else 'no'}"
                  f" (max|Delta1|={omax:.3e})")
     lines.append("  predicted vs recomputed (max |deviation| over compared samples):")
+    # the interior is never empty, so only the theta band empties them all
+    empty = ("  no sample inside the theta band (0, pi)" if vacuous
+             else "  no samples outside guard bands")
     for row in report.rows:
         lines.append(f"    {row.name:28s} {_cell(row.deviation):>12s}  "
                      f"[{verdict(row.deviation, tol.theorem_compare)}]"
-                     + ("  no samples outside guard bands"
-                        if row.deviation is None else ""))
+                     + (empty if row.deviation is None else ""))
     lines.append(f"  striction transport residual: "
                  f"{report.constructed.transport_residual:.3e}")
     return "\n".join(lines) + "\n", ok

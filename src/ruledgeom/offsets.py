@@ -26,13 +26,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .dual import DualScalar, cross3, norm3
 from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
 from .surface import (DEGENERATE_SIGMA, END_TRIM, DualCurvatureInvariants,
-                      SurfaceAnalysis, SurfaceSpec, _fd1, analyze,
-                      grid_spline)
+                      SurfaceAnalysis, _fd1, analyze, spline_surface)
 
 # Guard bands for the closed-form offset invariants (they divide by gamma
 # and by tan/cot of theta, which the formulas leave undefined at zero).
@@ -77,7 +75,7 @@ def offset_angle(analysis: SurfaceAnalysis, c: float,
     return DualScalar(-analysis.s + c, -analysis.s_star + c_star)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstructedOffset:
     """Sampled offset geometry on the base analysis grid."""
 
@@ -130,7 +128,7 @@ def construct_offset(analysis: SurfaceAnalysis,
         transport_residual=transport)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictedInvariants:
     """Closed-form offset invariants implied by the Mannheim relations.
 
@@ -175,7 +173,7 @@ def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
         R1=sin_bar, rho1=th)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparisonRow:
     """One predicted-vs-recomputed quantity, maxed over valid samples
     (None when no sample was compared)."""
@@ -185,7 +183,7 @@ class ComparisonRow:
     n_compared: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class OffsetReport:
     """Measurements from re-analyzing a constructed offset from scratch;
     `io.render_offset_report` judges them against the tolerances."""
@@ -223,13 +221,9 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         raise DegenerateOffset(
             "identity offset: predicted arc-speed gamma*sin(theta) "
             "vanishes, there is no separate surface to verify")
-    surface = SurfaceSpec(   # the splines' one consumer is this re-analysis
-        director=grid_spline(CubicSpline(a.u, built.e1.T, axis=0), a.u,
-                             built.e1),
-        base=grid_spline(CubicSpline(a.u, built.c1.T, axis=0), a.u,
-                         built.c1),
-        param_range=(float(a.u[0]), float(a.u[-1])), sample_count=a.n,
-        grid=a.u, name=f"{a.spec.name or 'surface'}+offset[{spec.mode}]")
+    # the splines' one consumer; unlike sampled_surface, no renormalization
+    surface = spline_surface(a.u, built.e1, built.c1,
+                             f"{a.spec.name or 'surface'}+offset[{spec.mode}]")
     try:
         off = analyze(surface)
     except DegenerateIndicatrix as exc:

@@ -93,7 +93,7 @@ class Reparametrization:
         return float(np.max(np.abs(r)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualCurvatureInvariants:
     """Per-sample dual curvature R, dual spherical radius of curvature rho,
     and the unit vector d0 along the dual Darboux axis, built on first
@@ -187,16 +187,18 @@ def _eval_curve(fn: Callable, u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def grid_spline(spline: CubicSpline, u: np.ndarray,
-                y: np.ndarray) -> Callable:
-    """The curve callable of `spline`, a cubic spline fitted to the (3, n)
-    samples y on the grid u, that skips evaluating it at the grid.
+def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
+    """The curve callable of the interpolating cubic spline through the
+    (3, n) samples y on the grid u, fitted here, that skips evaluating it
+    at the grid.
 
     PPoly evaluates a piece at its left end as 0.0 + y + 0*(...), so at
     every node but the last the spline reads y + 0.0 (y itself, with -0.0
     read as +0.0); only the last node, the right end of the last piece, is
     evaluated.  Off the grid, and when a coefficient is not finite (such a
     piece reads NaN at its node), the spline itself is called."""
+    spline = CubicSpline(u, y.T, axis=0)
+
     def curve(x):
         # a sum is finite only if every term is (an overflow takes the
         # spline's own path, which gives the same result)
@@ -388,27 +390,27 @@ def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
         orthonormality_max=float(ortho))
 
 
+def spline_surface(u: np.ndarray, e: np.ndarray, p: np.ndarray,
+                   name: str) -> SurfaceSpec:
+    """The spec of the surface through (3, n) director samples e and base
+    samples p on the uniform grid u.  Its callables are grid_splines: they
+    return the samples at every node but the last, whose bits the splines
+    decide, and interpolate off the grid."""
+    return SurfaceSpec(
+        director=grid_spline(u, e), base=grid_spline(u, p),
+        param_range=(float(u[0]), float(u[-1])), sample_count=len(u),
+        grid=u, name=name)
+
+
 def sampled_surface(u: np.ndarray, directors: np.ndarray,
                     bases: np.ndarray, name: str = "sampled") -> SurfaceSpec:
-    """Build a spec from (n, 3) director and base-point samples, one row
-    per sample (e.g. re-ingested CSV output).
-
-    Directors are renormalized (17-digit round trips drift below 1e-12).
-    The callables are interpolating cubic splines (see grid_spline): at
-    every grid node but the last they return the renormalized directors
-    and the bases with -0.0 read as +0.0; the last node is the end of the
-    splines' last piece, which may differ from its sample in the last
-    bits.  Off-grid queries interpolate."""
+    """spline_surface of (n, 3) director and base-point samples, one row
+    per sample (e.g. re-ingested CSV output), with the directors
+    renormalized (17-digit round trips drift below 1e-12)."""
     u = np.asarray(u, dtype=float)
     e = np.asarray(directors, dtype=float).T
     norms = norm3(e)
     if not np.max(np.abs(norms - 1.0)) <= DIRECTOR_UNIT_TOL:   # NaN fails too
         raise ValueError("sampled directors are not unit vectors")
-    e = e / norms
-    p = np.asarray(bases, dtype=float)
-    return SurfaceSpec(
-        director=grid_spline(CubicSpline(u, e.T, axis=0), u, e),
-        base=grid_spline(CubicSpline(u, p, axis=0), u, p.T),
-        param_range=(float(u[0]), float(u[-1])), sample_count=len(u),
-        grid=u, name=name)
+    return spline_surface(u, e / norms, np.asarray(bases, dtype=float).T, name)
 

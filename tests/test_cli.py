@@ -250,6 +250,26 @@ def test_offset_theorem_mode_with_no_compared_sample_exits_2(tmp_path, capsys):
     assert out.count("FAIL") == 1
 
 
+def test_offset_rows_emptied_by_the_theta_band_say_so(tmp_path, capsys):
+    # the README cone with c + 2 pi: the same offset as c, but theta = -s + c
+    # leaves (0, pi) at every sample, so no row compares one
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        surface={"builtin": "cone", "alpha": np.pi / 4},
+        param_range=[0.0, 2.5 / np.sin(np.pi / 4)], sample_count=2001,
+        offsets=[{"mode": "theorem_consistent", "c": 2.8 + 2 * np.pi,
+                  "c_star": 0.7}])
+    assert main(["offset", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "  samples compared: 0/2001  [FAIL: no sample compared]\n" in out
+    rows = [line for line in out.splitlines() if line.startswith("    ")]
+    assert len(rows) == 11
+    assert all(line.endswith(
+        "[n/a(guard)]  no sample inside the theta band (0, pi)")
+        for line in rows)
+    assert "guard bands" not in out
+
+
 def test_offset_without_offsets_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["offset", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -321,13 +341,13 @@ def test_offset_splines_are_fitted_only_for_the_re_analysis(tmp_path):
                  {"mode": "constant_angle", "theta": 0.0,
                   "theta_star": 4 * SQ2}])
     fits = []
-    fit = offsets.CubicSpline
+    fit = surface.CubicSpline
 
     def counted(*args, **kwargs):
         fits.append(None)
         return fit(*args, **kwargs)
 
-    with mock.patch.object(offsets, "CubicSpline", counted):
+    with mock.patch.object(surface, "CubicSpline", counted):
         assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path),
                      "--v-count", "3"]) == 0
         assert len(fits) == 0
@@ -378,6 +398,45 @@ def test_commands_that_build_a_surface_need_one(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "error: config requires a single 'surface' object\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("surface_doc, message", [
+    ({"builtin": "nosuch"}, "unknown builtin surface 'nosuch'"),
+    ({"builtin": "cone"}, "surface 'cone' requires parameters ['alpha']"),
+    ({"builtin": "cone", "alpha": 5}, "cone half-angle must lie in (0, pi/2)"),
+    ({"builtin": "hyperbolic_paraboloid", "alpha": 0.5},
+     "surface 'hyperbolic_paraboloid' does not accept parameters ['alpha']"),
+    ({"builtin": "cone", "alpha": 0.5, "bogus": 1},
+     "surface 'cone' does not accept parameters ['bogus']"),
+    ({"sampled_csv": "missing.csv"}, "missing.csv"),
+])
+def test_verify_rejects_an_invalid_surface(tmp_path, capsys, surface_doc,
+                                           message):
+    """A surface given to verify is parsed and must be valid, although
+    verify does not analyze it."""
+    if "sampled_csv" in surface_doc:
+        surface_doc = {"sampled_csv": str(tmp_path / "missing.csv")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": surface_doc, "seed": 3}))
+    assert main(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_small_circle_radius_defaults_to_1(tmp_path, capsys):
+    beta = np.pi / 6
+    for name, surface_doc in (("default", {"builtin": "small_circle",
+                                           "beta": beta}),
+                              ("given", {"builtin": "small_circle",
+                                         "beta": beta, "radius": 1.0})):
+        cfg = write_config(tmp_path / f"{name}.json", surface=surface_doc)
+        assert main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / name)]) == 0
+        assert main(["verify", "--config", str(cfg)]) == 0
+    assert ((tmp_path / "default" / "analysis.csv").read_bytes()
+            == (tmp_path / "given" / "analysis.csv").read_bytes())
 
 
 def test_verify_unattainable_tolerance_exits_2(capsys):

@@ -45,9 +45,9 @@ def ref(x) -> str:
          block=2)
 def test_obj_cells_are_17g(tmp_path_factory, grid, block):
     path = tmp_path_factory.mktemp("obj") / "m.obj"
-    with mock.patch.object(io, "BLOCK_ROWS", block):
-        write_obj(path, grid)
     n_u, n_v, _ = grid.shape
+    with mock.patch.object(io, "BLOCK_ROWS", block):
+        write_obj(path, grid, io.obj_faces(n_u, n_v))
     want = [f"v {ref(x)} {ref(y)} {ref(z)}" for x, y, z in grid.reshape(-1, 3)]
     for i in range(n_u - 1):
         for j in range(n_v - 1):

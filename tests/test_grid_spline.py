@@ -1,6 +1,6 @@
 """The offset's and a sampled surface's curve callables read their samples
-at the grid: `grid_spline` must equal the interpolating spline it wraps
-bit for bit, at the grid and off it."""
+at the grid: `grid_spline` must equal an independently fitted
+interpolating spline bit for bit, at the grid and off it."""
 
 import math
 from unittest import mock
@@ -12,7 +12,8 @@ from scipy.interpolate import CubicSpline, PPoly
 from ruledgeom import catalog, io
 from ruledgeom.dual import norm3
 from ruledgeom.offsets import OffsetSpec, construct_offset, verify_offset
-from ruledgeom.surface import analyze, grid_spline, sampled_surface
+from ruledgeom.surface import (analyze, grid_spline, sampled_surface,
+                               spline_surface)
 
 N = 20001
 SQ2 = math.sqrt(2.0)
@@ -43,10 +44,10 @@ def assert_bitwise(got, want):
 
 
 def check(u, y):
-    """grid_spline of the spline fitted to the (3, n) samples y equals
-    that spline at the grid (the same and a copied grid) and off it."""
+    """grid_spline of the (3, n) samples y equals a spline fitted to them
+    here, at the grid (the same and a copied grid) and off it."""
     spline = CubicSpline(u, y.T, axis=0)
-    curve = grid_spline(spline, u, y)
+    curve = grid_spline(u, y)
     for x in (u, u.copy()):
         assert_bitwise(curve(x), spline(x))
     mid = 0.5 * (u[1:] + u[:-1])
@@ -79,6 +80,22 @@ def test_sampled_csv_curves_equal_their_splines(tmp_path):
         for x in (u, 0.5 * (u[1:] + u[:-1])):
             assert_bitwise(fn(x), spline(x))
 
+
+
+def test_only_sampled_surface_renormalizes():
+    """The two spline_surface callers differ in one step: sampled_surface
+    renormalizes its directors, while the offset's re-analysis reads e1
+    as constructed."""
+    a = analyze(catalog.cone(math.pi / 4, (0.0, 2.5 / math.sin(math.pi / 4)),
+                             2001))
+    e1 = construct_offset(a, OffsetSpec.theorem(2.8, 0.7)).e1
+    unit = e1 / norm3(e1)
+    assert not np.array_equal(unit, e1)      # some last bits move
+    zeros = np.zeros_like(e1)
+    sampled = sampled_surface(a.u, e1.T, zeros.T).director(a.u)
+    offset = spline_surface(a.u, e1, zeros, "offset").director(a.u)
+    assert_bitwise(sampled[:-1], unit.T[:-1] + 0.0)
+    assert_bitwise(offset[:-1], e1.T[:-1] + 0.0)
 
 def test_negative_zero_reads_as_its_spline_does():
     u = np.linspace(0.0, 1.0, 11)

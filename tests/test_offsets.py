@@ -333,3 +333,22 @@ def test_flattening_profile_is_nan_exactly_inside_the_guards():
     theta = offset_angle(a, 2.8, 0.7).real
     assert np.array_equal(np.isfinite(flattening_profile(a, theta)),
                           np.abs(np.cos(theta)) > SIN_MIN)
+
+
+def test_results_are_frozen_and_d0_is_built_on_first_read():
+    a = cone_analysis()
+    rep = verify_offset(a, OffsetSpec.theorem(2.8, 0.7))
+    built = rep.constructed
+    pred = predicted_invariants(a, built.theta_bar, built.cos_bar,
+                                built.sin_bar)
+    inv = a.invariants()
+    for result, name in ((inv, "R"), (built, "e1"), (pred, "gamma1"),
+                         (rep.rows[0], "deviation"), (rep, "n_valid")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, None)
+    assert "d0" not in vars(inv)
+    d0 = inv.d0
+    assert vars(inv)["d0"] is d0 and inv.d0 is d0
+    e_t, g_t = inv.frame_eg
+    assert np.array_equal(d0.real, e_t.scale(inv.cos_rho).real
+                          + g_t.scale(inv.R).real)
