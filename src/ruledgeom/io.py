@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import warnings
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
@@ -341,10 +340,6 @@ def surface_grid(c: np.ndarray, e: np.ndarray, v_range,
     return c[:, None, :] + v[None, :, None] * e[:, None, :]
 
 
-def _cell(x: Optional[float]) -> str:
-    return "n/a(guard)" if x is None else f"{x:.3e}"
-
-
 def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
                          tol) -> tuple[str, bool]:
     """Fixed-format report text judged against `tol`, a config.Tolerances;
@@ -365,7 +360,7 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
             return "info"
         if value is None:
             if vacuous:   # already failed on the "samples compared" line
-                return "n/a(guard)"
+                return na
             ok = False
             return "FAIL: no sample compared"
         if value <= tol:
@@ -375,6 +370,10 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
 
     vacuous = not info and report.n_valid == 0
     ok = not vacuous
+    # the interior is never empty, so only the theta band empties them all
+    na, empty = (("n/a(band)", "  no sample inside the theta band (0, pi)")
+                 if vacuous else
+                 ("n/a(guard)", "  no samples outside guard bands"))
     lines.append(f"  samples compared: {report.n_valid}/{report.offset_analysis.n}"
                  + ("  [informational: constant-angle offsets need not satisfy"
                     " the Mannheim condition]" if info else "")
@@ -390,11 +389,9 @@ def render_offset_report(index: int, spec: OffsetSpec, report: OffsetReport,
                  f"{'yes' if omax < dev_tol else 'no'}"
                  f" (max|Delta1|={omax:.3e})")
     lines.append("  predicted vs recomputed (max |deviation| over compared samples):")
-    # the interior is never empty, so only the theta band empties them all
-    empty = ("  no sample inside the theta band (0, pi)" if vacuous
-             else "  no samples outside guard bands")
     for row in report.rows:
-        lines.append(f"    {row.name:28s} {_cell(row.deviation):>12s}  "
+        cell = na if row.deviation is None else f"{row.deviation:.3e}"
+        lines.append(f"    {row.name:28s} {cell:>12s}  "
                      f"[{verdict(row.deviation, tol.theorem_compare)}]"
                      + (empty if row.deviation is None else ""))
     lines.append(f"  striction transport residual: "

@@ -4,7 +4,10 @@ A ruled surface phi(u, v) = c(u) + v*e(u) is described by a unit director
 field e(u) (its spherical indicatrix) and a base curve.  The pipeline
 
   1. samples director and base on a uniform grid,
-  2. integrates the indicatrix arc length s (quadrature),
+  2. integrates the indicatrix arc length s (quadrature: the cumulative
+     composite Simpson rule with the arithmetic of scipy 1.17.1's
+     cumulative_simpson, bit for bit, its weights built once per grid and
+     only for the windows that rule keeps),
   3. replaces the base curve by the striction curve c (the unique base
      with <c', e'> = 0),
   4. builds the geodesic frame {e, t, g} with t = de/ds and g = e x t,
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.linalg import solve_banded
 
 from .dual import (DualScalar, DualVector, cross3, dot3, dual_cos, dual_div,
                    dual_sin, dual_sqrt, norm3, read_only)
@@ -187,26 +190,90 @@ def _eval_curve(fn: Callable, u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
+def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> tuple:
+    """(dx, slope, s) of CubicSpline(u, y.T, axis=0) for (3, n) samples y,
+    n >= 4: the steps, the (n - 1, 3) secant slopes and the (n, 3) slopes
+    at the nodes, with its input checks, its not-a-knot band system and
+    its solve_banded call (scipy 1.17.1)."""
+    if not np.isfinite(u).all():
+        raise ValueError("`x` must contain only finite values.")
+    if not np.isfinite(y).all():
+        raise ValueError("`y` must contain only finite values.")
+    n = len(u)
+    dx = np.diff(u)
+    if np.any(dx <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    dxr = dx.reshape(-1, 1)
+    slope = np.diff(y.T, axis=0) / dxr
+    A = np.zeros((3, n))
+    b = np.empty((n, 3))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    A[1, 0] = dx[1]
+    A[0, 1] = d = u[2] - u[0]
+    b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d
+    A[1, -1] = dx[-2]
+    A[-1, -2] = d = u[-1] - u[-3]
+    b[-1] = ((dxr[-1]**2*slope[-2] + (2*d + dxr[-1])*dxr[-2]*slope[-1]) / d)
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    return dx, slope, s
+
+
+def _spline_last_node(u: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
+    """The value at u[-1] of CubicSpline(u, y.T, axis=0) for (3, n) samples
+    y, n >= 4, with its bits, without fitting the spline; None when a bound
+    cannot show that every coefficient of the spline is finite.
+
+    From the slopes it forms, as CubicHermiteSpline does, the coefficients
+    of the last piece only, and evaluates that piece as PPoly does (scipy
+    1.17.1): the power sum c3 + c2 z + c1 z^2 + c0 z^3, term by term."""
+    dx, slope, s = _not_a_knot_slopes(u, y)
+    # piece k has c3 = y_k, c2 = s_k, c1 = (slope_k - s_k)/h_k - t_k and
+    # c0 = t_k/h_k with t_k = (s_k + s_k+1 - 2 slope_k)/h_k; with every
+    # |s|, |slope| <= m and h_k >= h, every term is at most 4m, 6m/h or
+    # 4m/h^2 (np.max, not max(): a NaN slope must fail the bound)
+    m = float(np.max([np.max(np.abs(s)), np.max(np.abs(slope))]))
+    h = float(np.min(dx))
+    bound = 8.0 * m if h >= 1.0 else 8.0 * m / h / h
+    if not bound < np.inf:   # NaN fails too
+        return None
+    h_last = dx[-1:]
+    t = (s[-2] + s[-1] - 2 * slope[-1]) / h_last
+    c0, c1 = t / h_last, (slope[-1] - s[-2]) / h_last - t
+    z = u[-1] - u[-2]
+    zz = z * z
+    return (0.0 + y[:, -2]) + s[-2] * z + c1 * zz + c0 * (zz * z)
+
+
 def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
-    """The curve callable of the interpolating cubic spline through the
-    (3, n) samples y on the grid u, fitted here, that skips evaluating it
-    at the grid.
+    """The curve callable of the interpolating (not-a-knot) cubic spline
+    CubicSpline(u, y.T, axis=0) through the (3, n) samples y on the grid
+    u, with its bits, that fits the spline only where it is read.
 
     PPoly evaluates a piece at its left end as 0.0 + y + 0*(...), so at
     every node but the last the spline reads y + 0.0 (y itself, with -0.0
-    read as +0.0); only the last node, the right end of the last piece, is
-    evaluated.  Off the grid, and when a coefficient is not finite (such a
-    piece reads NaN at its node), the spline itself is called."""
-    spline = CubicSpline(u, y.T, axis=0)
+    read as +0.0); the last node, the right end of the last piece, comes
+    from _spline_last_node.  The spline itself is fitted, once, on the
+    first call off the grid, when a coefficient may not be finite (such a
+    piece reads NaN at its node), and for n < 4; CubicSpline's input
+    errors are raised here either way."""
+    spline = last = None
+    if len(u) < 4:
+        spline = CubicSpline(u, y.T, axis=0)
+    else:
+        last = _spline_last_node(u, y)
 
     def curve(x):
-        # a sum is finite only if every term is (an overflow takes the
-        # spline's own path, which gives the same result)
-        if not ((x is u or np.array_equal(x, u))
-                and np.isfinite(np.sum(spline.c[:3]))):
+        nonlocal spline
+        if last is None or not (x is u or np.array_equal(x, u)):
+            if spline is None:
+                spline = CubicSpline(u, y.T, axis=0)
             return spline(x)
         out = (y + 0.0).T
-        out[-1] = spline(u[-1:])[0]
+        out[-1] = last
         return out
     return curve
 
@@ -218,6 +285,54 @@ def _fd1(y: np.ndarray, h: float) -> np.ndarray:
     d[:, 0] = (-3.0 * y[:, 0] + 4.0 * y[:, 1] - y[:, 2]) / (2.0 * h)
     d[:, -1] = (3.0 * y[:, -1] - 4.0 * y[:, -2] + y[:, -3]) / (2.0 * h)
     return d
+
+
+def _simpson_weights(x21: np.ndarray, x32: np.ndarray) -> tuple:
+    """scipy's four weights of the Simpson windows whose first steps are
+    x21 and second steps x32: the window's integral over its first step
+    is w * (a*f1 + b*f2 + c*f3) of its three samples f1, f2, f3."""
+    x21_x31 = x21 / (x21 + x32)
+    q = x21_x31 * (x21 / x32)
+    return x21 / 6, 3 - x21_x31, 3 + q + x21_x31, -q
+
+
+def _simpson_steps(weights: tuple, f1, f2, f3) -> np.ndarray:
+    w, a, b, c = weights
+    return w * (a * f1 + b * f2 + c * f3)
+
+
+def simpson_integrator(u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """y -> cumulative_simpson(y, x=u, initial=0.0), the cumulative
+    composite Simpson integral of samples y on the increasing grid u
+    (n >= 3), with the bits of scipy 1.17.1, whose arithmetic it repeats.
+
+    scipy integrates every step [u_k, u_k+1] twice, from the window
+    (k, k+1, k+2) (h1) and from the window (k-1, k, k+1) read backwards
+    (h2), and keeps h1 on the even steps and h2 on the odd ones (and on
+    the last step of an even n).  Here the weights are built once, from u,
+    and only for the kept windows."""
+    n = len(u)
+    dx = np.diff(u)
+    if np.any(dx <= 0):
+        raise ValueError("Input x must be strictly increasing.")
+    m = n - 2 + n % 2     # the steps that whole window pairs cover
+    even, odd = dx[0:m:2], dx[1:m:2]
+    h1, h2 = _simpson_weights(even, odd), _simpson_weights(odd, even)
+    tail = _simpson_weights(dx[m:], dx[m - 1:m]) if n % 2 == 0 else None
+
+    def integrate(y: np.ndarray) -> np.ndarray:
+        out = np.empty(n)
+        out[0] = 0.0
+        steps = out[1:]
+        steps[0:m:2] = _simpson_steps(h1, y[0:m:2], y[1:m:2], y[2:m + 1:2])
+        steps[1:m:2] = _simpson_steps(h2, y[2:m + 1:2], y[1:m:2], y[0:m:2])
+        if tail is not None:
+            steps[m:] = _simpson_steps(tail, y[m + 1:], y[m:m + 1],
+                                       y[m - 1:m])
+        np.cumsum(steps, out=steps)
+        steps += 0.0
+        return out
+    return integrate
 
 
 def _grid_of(spec: SurfaceSpec) -> tuple[np.ndarray, float]:
@@ -291,8 +406,9 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     gamma = dot3(cross3(e, e_u), e_uu) / sig3
     gamma_dual = delta - gamma * Delta
 
-    s = cumulative_simpson(sigma, x=u, initial=0.0)
-    s_star = cumulative_simpson(Delta * sigma, x=u, initial=0.0)
+    integrate = simpson_integrator(u)
+    s = integrate(sigma)
+    s_star = integrate(Delta * sigma)
     if not np.all(np.diff(s) > 0.0):
         raise DegenerateIndicatrix("arc length failed to increase strictly")
     # a NaN or inf from any oracle reaches c, gamma or the running s_star
@@ -394,8 +510,9 @@ def spline_surface(u: np.ndarray, e: np.ndarray, p: np.ndarray,
                    name: str) -> SurfaceSpec:
     """The spec of the surface through (3, n) director samples e and base
     samples p on the uniform grid u.  Its callables are grid_splines: they
-    return the samples at every node but the last, whose bits the splines
-    decide, and interpolate off the grid."""
+    return the samples at every node but the last, whose bits the
+    interpolating splines decide and which is computed without fitting
+    them; off the grid they fit the splines, once, and interpolate."""
     return SurfaceSpec(
         director=grid_spline(u, e), base=grid_spline(u, p),
         param_range=(float(u[0]), float(u[-1])), sample_count=len(u),

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly
 
 from ruledgeom import catalog, offsets, surface
 from ruledgeom.cli import main
@@ -265,9 +266,33 @@ def test_offset_rows_emptied_by_the_theta_band_say_so(tmp_path, capsys):
     rows = [line for line in out.splitlines() if line.startswith("    ")]
     assert len(rows) == 11
     assert all(line.endswith(
-        "[n/a(guard)]  no sample inside the theta band (0, pi)")
+        "[n/a(band)]  no sample inside the theta band (0, pi)")
         for line in rows)
     assert "guard bands" not in out
+
+
+def test_theta_band_cells_say_band_and_info_cells_say_guard(tmp_path):
+    # the README config with c + 2 pi: the theorem report's empty cells
+    # blame the theta band; the constant-angle report's keep n/a(guard)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        surface={"builtin": "cone", "alpha": np.pi / 4},
+        param_range=[0.0, 2.5 / np.sin(np.pi / 4)], sample_count=2001,
+        offsets=[{"mode": "theorem_consistent", "c": 2.8 + 2 * np.pi,
+                  "c_star": 0.7},
+                 {"mode": "constant_angle", "theta": 0.0,
+                  "theta_star": 4 * SQ2}])
+    assert main(["offset", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    theorem = (tmp_path / "offset_0_report.txt").read_text().splitlines()
+    rows = [line for line in theorem if line.startswith("    ")]
+    assert len(rows) == 11
+    assert all(line.endswith(" n/a(band)  [n/a(band)]  no sample inside the "
+                             "theta band (0, pi)") for line in rows)
+    assert "guard" not in "\n".join(theorem)
+    info = (tmp_path / "offset_1_report.txt").read_text()
+    assert "samples compared: 0/2001" in info
+    assert "n/a(band)" not in info
+    assert info.count("n/a(guard)  [info]  no samples outside guard bands") == 11
 
 
 def test_offset_without_offsets_exits_1(tmp_path, capsys):
@@ -332,7 +357,7 @@ def test_offset_mesh_is_translated(tmp_path):
     assert np.max(np.abs((off - base) - np.array([-4.0, -4.0, 0.0]))) < 1e-9
 
 
-def test_offset_splines_are_fitted_only_for_the_re_analysis(tmp_path):
+def test_mesh_and_the_offset_re_analysis_fit_no_spline(tmp_path):
     # the README config: a theorem-consistent and a constant-angle offset
     cfg = write_config(
         tmp_path / "cfg.json", surface={"builtin": "cone", "alpha": np.pi / 4},
@@ -340,21 +365,26 @@ def test_offset_splines_are_fitted_only_for_the_re_analysis(tmp_path):
         offsets=[{"mode": "theorem_consistent", "c": 2.8, "c_star": 0.7},
                  {"mode": "constant_angle", "theta": 0.0,
                   "theta_star": 4 * SQ2}])
-    fits = []
-    fit = surface.CubicSpline
+    fits, calls = [], []
+    fit, call = surface.CubicSpline, PPoly.__call__
 
     def counted(*args, **kwargs):
         fits.append(None)
         return fit(*args, **kwargs)
 
-    with mock.patch.object(surface, "CubicSpline", counted):
+    def spy(self, *args, **kwargs):
+        calls.append(None)
+        return call(self, *args, **kwargs)
+
+    with mock.patch.object(surface, "CubicSpline", counted), \
+            mock.patch.object(PPoly, "__call__", spy):
         assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path),
                      "--v-count", "3"]) == 0
-        assert len(fits) == 0
         a = analyze(catalog.cone(np.pi / 4, (0.0, 2.5 / np.sin(np.pi / 4)),
                                  2001))
         offsets.verify_offset(a, offsets.OffsetSpec.theorem(2.8, 0.7))
-        assert len(fits) == 2
+    # the re-analysis reads its splines at the grid only
+    assert fits == [] and calls == []
 
 
 def test_mesh_unwritable_path_exits_1(tmp_path, capsys):
