@@ -1,11 +1,12 @@
-"""Dual-number and dual-vector arithmetic.
+"""Dual-number arithmetic for dual scalars and dual vectors alike.
 
-A dual scalar is a + eps*b with eps^2 = 0; a dual vector is a pair of real
-3-vectors (v, v*).  Dual unit vectors encode oriented lines: the real part
-is the line direction, the dual part its moment about the origin.  All
-operations accept either plain floats / (3,) arrays or numpy arrays of
-shape (N,) / (3, N), broadcasting elementwise, so a whole sample grid can
-be pushed through the algebra at once.  Batches of vectors are stored
+A dual number is a + eps*b with eps^2 = 0; a dual vector is a triple of
+them (the E. Study map), so `DualScalar` (alias `DualVector`) carries
+both, its parts floats or read-only (N,), (3,) or (3, N) arrays.  Dual
+unit vectors encode oriented lines: the real part is the line direction,
+the dual part its moment about the origin.  Operations broadcast
+elementwise; a scalar field times a vector field (s * v, scalar on the
+left) rotates a whole sample grid at once.  Batches of vectors are stored
 component-major: row k of a (3, N) array holds the k-th coordinate of
 every vector, so an (N,) scalar field broadcasts against it directly.
 """
@@ -31,7 +32,9 @@ Scalar = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class DualScalar:
-    """a + eps*b. Fields may be floats or broadcast-compatible arrays.
+    """a + eps*b. Fields are floats or broadcast-compatible arrays; an
+    array field (lists and tuples become float arrays) is stored as a
+    read-only view, so the caller's own array stays writable.
 
     A dual angle theta + eps*theta_star between two oriented lines is one:
     real part the angle, dual part the signed offset along their common
@@ -39,6 +42,12 @@ class DualScalar:
 
     real: Scalar
     dual: Scalar
+
+    def __post_init__(self):
+        for name in ("real", "dual"):
+            value = getattr(self, name)
+            if np.ndim(value):
+                object.__setattr__(self, name, read_only(value))
 
     def __add__(self, other: "DualScalar | float") -> "DualScalar":
         other = _as_dual(other)
@@ -48,10 +57,13 @@ class DualScalar:
         return dual_mul(self, _as_dual(other))
 
 
+DualVector = DualScalar
+
+
 def _as_dual(x) -> DualScalar:
     if isinstance(x, DualScalar):
         return x
-    return DualScalar(np.asarray(x, dtype=float) if np.ndim(x) else float(x), 0.0)
+    return DualScalar(x if np.ndim(x) else float(x), 0.0)
 
 
 def dual_mul(a: DualScalar, b: DualScalar) -> DualScalar:
@@ -98,31 +110,17 @@ def read_only(x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class DualVector:
-    """Pair of real 3-vectors (or (3, N) arrays): direction part + moment
-    part, both read-only."""
-
-    real: np.ndarray
-    dual: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "real", read_only(self.real))
-        object.__setattr__(self, "dual", read_only(self.dual))
-
-    def __add__(self, other: "DualVector") -> "DualVector":
-        return DualVector(self.real + other.real, self.dual + other.dual)
-
-    def scale(self, s: DualScalar) -> "DualVector":
-        """Multiply by a dual scalar ((N,) fields broadcast over (3, N))."""
-        return DualVector(s.real * self.real,
-                          s.real * self.dual + s.dual * self.real)
-
-
 # 3-vector kernels over the leading (component) axis of float arrays: (3,)
 # or (3, ...), broadcasting.  They work component by component, without
 # the input copies of np.cross, and reproduce numpy's results bit for bit,
 # down to the sign of a zero and which of two NaN operands a sum passes on.
+
+
+def _require_vectors(u: np.ndarray, v: np.ndarray) -> None:
+    """A row-major (N, 3) batch is not N vectors: refuse it."""
+    if np.shape(u)[:1] != (3,) or np.shape(v)[:1] != (3,):
+        raise ValueError(f"3-vector kernels need (3,) or (3, ...) operands,"
+                         f" got shapes {np.shape(u)} and {np.shape(v)}")
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,6 +128,7 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     on the same component views ([k, ...] and out=... keep a single
     vector's parts arrays, not numpy scalars, whose arithmetic can pass on
     the other NaN)."""
+    _require_vectors(a, b)
     a0, a1, a2 = a[0, ...], a[1, ...], a[2, ...]
     b0, b1, b2 = b[0, ...], b[1, ...], b[2, ...]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
@@ -148,6 +147,7 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def dot3(u: np.ndarray, v: np.ndarray):
     """<u, v>, bitwise equal to np.sum(u * v, axis=0)."""
+    _require_vectors(u, v)
     p = u * v
     if p.size == 3:
         # One vector: numpy runs its reduction loop, which passes on a

@@ -91,10 +91,11 @@ def construct_offset(analysis: SurfaceAnalysis,
                      spec: OffsetSpec) -> ConstructedOffset:
     """Build the offset surface on the analysis grid.
 
-    The director rotates in the (e, t) plane by theta; the striction line
-    moves by theta_star along g.  The moment of the constructed ruling is
-    checked against the dual part of cos(th)~e + sin(th)~t, which validates
-    the striction transport; the defect is reported as transport_residual.
+    The dual ruling is the dual product cos(th)~e + sin(th)~t: its real
+    part, normalized, is the director e1, and the striction line moves by
+    theta_star along g.  The moment c1 x e1 of the constructed ruling is
+    checked against the ruling's dual part, which validates the striction
+    transport; the defect is reported as transport_residual.
 
     Raises DegenerateOffset when the constructed indicatrix is singular
     everywhere (the offset is not a surface of the analyzable class, e.g.
@@ -108,15 +109,14 @@ def construct_offset(analysis: SurfaceAnalysis,
     cos, sin = np.cos(th.real), np.sin(th.real)
     cos_bar = DualScalar(cos, -th.dual * sin)
     sin_bar = DualScalar(sin, th.dual * cos)
-    e1 = cos * a.e + sin * a.t
-    e1 /= norm3(e1)
+    e_t, t_t, _ = a.dual_frame()
+    ruling = cos_bar * e_t + sin_bar * t_t
+    e1 = ruling.real / norm3(ruling.real)
     c1 = a.c + th.dual * a.g
     e1.flags.writeable = c1.flags.writeable = False
 
     # dual part of the rotated dual ruling must equal c1 x e1
-    e1_dual = ((cos * a.e_star + cos_bar.dual * a.e)
-               + (sin * a.t_star + sin_bar.dual * a.t))
-    transport = float(np.max(norm3(e1_dual - cross3(c1, e1))))
+    transport = float(np.max(norm3(ruling.dual - cross3(c1, e1))))
 
     sigma1 = norm3(_fd1(e1, float(a.u[1] - a.u[0])))
     if np.max(sigma1) < DEGENERATE_SIGMA:
@@ -268,7 +268,7 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
     # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
     # recomputed offset frame.
     e1_t, _, g1_t = off.dual_frame()
-    d0_pred = e1_t.scale(built.cos_bar) + g1_t.scale(built.sin_bar)
+    d0_pred = built.cos_bar * e1_t + built.sin_bar * g1_t
     d0_rec = inv.d0
     add("d0_1 (real)", norm3(d0_pred.real - d0_rec.real), np.zeros(a.n))
     add("d0_1 (dual)", norm3(d0_pred.dual - d0_rec.dual), np.zeros(a.n))

@@ -111,7 +111,7 @@ class DualCurvatureInvariants:
     def d0(self) -> DualVector:
         """cos(rho) e + sin(rho) g; fields are (3, n) arrays."""
         e_t, g_t = self.frame_eg
-        return e_t.scale(self.cos_rho) + g_t.scale(self.R)
+        return self.cos_rho * e_t + self.R * g_t
 
     def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
         """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""

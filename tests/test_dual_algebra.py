@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ruledgeom.dual import (DualScalar, DualVector, dual_angle, dual_cos,
-                            dual_cross, dual_div, dual_dot, dual_mul,
-                            dual_norm, dual_normalize, dual_sin, dual_sqrt,
-                            lift)
+from ruledgeom.dual import (DualScalar, DualVector, cross3, dot3, dual_angle,
+                            dual_cos, dual_cross, dual_div, dual_dot,
+                            dual_mul, dual_norm, dual_normalize, dual_sin,
+                            dual_sqrt, lift)
 from ruledgeom.errors import DomainError, PureDualDivisor, PureDualVector
 
 TOL = 1e-12
@@ -149,13 +149,68 @@ def test_mul_dual_part_has_no_dual_dual_term():
 
 def test_lagrange_identity():
     rng = np.random.default_rng(17)
-    a = DualVector(rng.uniform(-2, 2, (500, 3)), rng.uniform(-2, 2, (500, 3)))
-    b = DualVector(rng.uniform(-2, 2, (500, 3)), rng.uniform(-2, 2, (500, 3)))
+    a = DualVector(rng.uniform(-2, 2, (3, 500)), rng.uniform(-2, 2, (3, 500)))
+    b = DualVector(rng.uniform(-2, 2, (3, 500)), rng.uniform(-2, 2, (3, 500)))
     cr = dual_cross(a, b)
     lhs = dual_dot(cr, cr) + dual_mul(dual_dot(a, b), dual_dot(a, b))
     rhs = dual_mul(dual_dot(a, a), dual_dot(b, b))
     assert np.max(np.abs(lhs.real - rhs.real)) < TOL
     assert np.max(np.abs(lhs.dual - rhs.dual)) < TOL
+
+
+def test_row_major_batches_raise():
+    rows = np.ones((500, 3))
+    for kernel in (cross3, dot3):
+        with pytest.raises(ValueError, match=r"\(500, 3\)"):
+            kernel(rows, rows)
+    with pytest.raises(ValueError, match=r"\(500, 3\)"):
+        dual_cross(DualVector(rows, rows), DualVector(rows, rows))
+
+
+# Operand bits for the product test: signed zeros, two NaNs with distinct
+# payloads (so a swapped sum shows which NaN it passed on), an infinity
+# and two ordinary values.
+SPECIAL = np.array([0x0000000000000000, 0x8000000000000000,
+                    0x7FF8000000000001, 0x7FF8000000000002,
+                    0x7FF0000000000000, 0x3FF8000000000000,
+                    0xC002000000000000], dtype=np.uint64).view(np.float64)
+
+
+def scale_expansion(s, v):
+    return s.real * v.real, s.real * v.dual + s.dual * v.real
+
+
+def assert_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    assert x.shape == y.shape
+    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def test_scalar_times_vector_is_the_scale_expansion_bit_for_bit():
+    assert DualVector is DualScalar
+    rng = np.random.default_rng(23)
+    n = 2000
+
+    def pick(*shape):
+        return SPECIAL[rng.integers(0, SPECIAL.size, shape)]
+
+    s = DualScalar(pick(n), pick(n))
+    v = DualVector(pick(3, n), pick(3, n))
+    cases = [(s, v),
+             (DualScalar(-0.0, float(SPECIAL[3])),
+              DualVector(SPECIAL[[0, 2, 5]], SPECIAL[[1, 3, 6]])),
+             (DualScalar(1.5, 0.0), DualVector(pick(3), pick(3)))]
+    for s, v in cases:
+        with np.errstate(invalid="ignore"):   # 0 * inf, inf - inf
+            prod = s * v
+            real, dual = scale_expansion(s, v)
+        assert isinstance(prod, DualScalar)
+        assert_bits(prod.real, real)
+        assert_bits(prod.dual, dual)
+    # the batch case holds both-NaN sums whose payloads differ
+    a, b = s.real * v.dual, s.dual * v.real
+    both = np.isnan(a) & np.isnan(b) & (a.view(np.int64) != b.view(np.int64))
+    assert np.any(both)
 
 
 def test_angle_coincident_lines():

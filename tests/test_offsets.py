@@ -350,5 +350,27 @@ def test_results_are_frozen_and_d0_is_built_on_first_read():
     d0 = inv.d0
     assert vars(inv)["d0"] is d0 and inv.d0 is d0
     e_t, g_t = inv.frame_eg
-    assert np.array_equal(d0.real, e_t.scale(inv.cos_rho).real
-                          + g_t.scale(inv.R).real)
+    assert np.array_equal(d0.real, (inv.cos_rho * e_t + inv.R * g_t).real)
+
+
+def test_dual_values_are_read_only():
+    a = cone_analysis()
+    built = construct_offset(a, OffsetSpec.theorem(2.8, 0.7))
+    pred = predicted_invariants(a, built.theta_bar, built.cos_bar,
+                                built.sin_bar)
+    inv = a.invariants()
+    e_t, t_t, _ = a.dual_frame()
+    angle = dual_angle(e_t, t_t)
+    values = [inv.R, inv.rho, inv.cos_rho, built.theta_bar, built.cos_bar,
+              built.sin_bar, pred.R1, pred.rho1, pred.dsbar1_dsbar, angle]
+    for value in values:
+        for part in (value.real, value.dual):
+            assert part.shape == (a.n,)
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 123.0
+    own = np.zeros(3)
+    wrapped = DualVector(own, own)
+    own[0] = 1.0
+    assert wrapped.real[0] == 1.0 and own.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        wrapped.dual[0] = 2.0
