@@ -7,7 +7,7 @@ offsets with independent numerical verification of their invariant
 relations.
 """
 
-from .dual import (DualScalar, DualVector, dual_angle, dual_cos, dual_cross,
+from .dual import (DualScalar, dual_angle, dual_cos, dual_cross,
                    dual_div, dual_dot, dual_mul, dual_norm, dual_normalize,
                    dual_sin, dual_sqrt, lift)
 from .errors import (ConfigError, DegenerateIndicatrix, DegenerateOffset,
@@ -20,7 +20,7 @@ from .surface import (SurfaceAnalysis, SurfaceSpec, analyze, dual_invariants,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DualScalar", "DualVector", "dual_angle", "dual_cos", "dual_cross",
+    "DualScalar", "dual_angle", "dual_cos", "dual_cross",
     "dual_div", "dual_dot", "dual_mul", "dual_norm", "dual_normalize",
     "dual_sin", "dual_sqrt", "lift",
     "ConfigError", "DegenerateIndicatrix", "DegenerateOffset", "DomainError",

@@ -1,8 +1,8 @@
 """Dual-number arithmetic for dual scalars and dual vectors alike.
 
 A dual number is a + eps*b with eps^2 = 0; a dual vector is a triple of
-them (the E. Study map), so `DualScalar` (alias `DualVector`) carries
-both, its parts floats or read-only (N,), (3,) or (3, N) arrays.  Dual
+them (the E. Study map), so `DualScalar` carries both, its
+parts floats or read-only (N,), (3,) or (3, N) arrays.  Dual
 unit vectors encode oriented lines: the real part is the line direction,
 the dual part its moment about the origin.  Operations broadcast
 elementwise; a scalar field times a vector field (s * v, scalar on the
@@ -14,7 +14,7 @@ every vector, so an (N,) scalar field broadcasts against it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -56,8 +56,6 @@ class DualScalar:
     def __mul__(self, other: "DualScalar | float") -> "DualScalar":
         return dual_mul(self, _as_dual(other))
 
-
-DualVector = DualScalar
 
 
 def _as_dual(x) -> DualScalar:
@@ -123,15 +121,18 @@ def _require_vectors(u: np.ndarray, v: np.ndarray) -> None:
                          f" got shapes {np.shape(u)} and {np.shape(v)}")
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cross3(a: np.ndarray, b: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """a x b, bitwise equal to np.cross with axis=0: the same ufunc calls
     on the same component views ([k, ...] and out=... keep a single
     vector's parts arrays, not numpy scalars, whose arithmetic can pass on
-    the other NaN)."""
+    the other NaN).  Written into `out` when given (it must not overlap a
+    or b)."""
     _require_vectors(a, b)
     a0, a1, a2 = a[0, ...], a[1, ...], a[2, ...]
     b0, b1, b2 = b[0, ...], b[1, ...], b[2, ...]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     x, y, z = out[0, ...], out[1, ...], out[2, ...]
     np.multiply(a1, b2, out=x)
     tmp = np.multiply(a2, b1, out=...)
@@ -151,8 +152,16 @@ def dot3(u: np.ndarray, v: np.ndarray):
     p = u * v
     if p.size == 3:
         # One vector: numpy runs its reduction loop, which passes on a
-        # different NaN than the elementwise adds below would.
+        # different NaN than the elementwise adds of sum3 would.
         return np.add.reduce(p, axis=0)
+    return sum3(p)
+
+
+def sum3(p: np.ndarray) -> np.ndarray:
+    """p[0] + p[1] + p[2] of a (3, N) batch, N > 1, bitwise equal to
+    np.sum(p, axis=0).  A column block of such a batch, even one column
+    wide, keeps the batch's bits through it (dot3 would reduce a (3, 1)
+    block as a single vector)."""
     out = p[0] + p[1]
     out += p[2]
     out += 0.0   # np.sum starts from +0.0, so a sum of -0.0 terms is +0.0
@@ -164,19 +173,19 @@ def norm3(u: np.ndarray):
     return np.sqrt(dot3(u, u))
 
 
-def dual_dot(a: DualVector, b: DualVector) -> DualScalar:
+def dual_dot(a: DualScalar, b: DualScalar) -> DualScalar:
     """Dual scalar product: real <a,b>, dual <a,b*> + <a*,b>."""
     return DualScalar(dot3(a.real, b.real),
                       dot3(a.real, b.dual) + dot3(a.dual, b.real))
 
 
-def dual_cross(a: DualVector, b: DualVector) -> DualVector:
+def dual_cross(a: DualScalar, b: DualScalar) -> DualScalar:
     """Dual cross product: real a x b, dual a x b* + a* x b."""
-    return DualVector(cross3(a.real, b.real),
+    return DualScalar(cross3(a.real, b.real),
                       cross3(a.real, b.dual) + cross3(a.dual, b.real))
 
 
-def dual_norm(a: DualVector) -> DualScalar:
+def dual_norm(a: DualScalar) -> DualScalar:
     """|a| + eps <a, a*>/|a|; undefined for a vanishing real part."""
     n = norm3(a.real)
     if np.any(n < PURE_EPS):
@@ -184,15 +193,15 @@ def dual_norm(a: DualVector) -> DualScalar:
     return DualScalar(n, dot3(a.real, a.dual) / n)
 
 
-def dual_normalize(a: DualVector) -> DualVector:
+def dual_normalize(a: DualScalar) -> DualScalar:
     """Rescale so the dual norm is exactly 1 + eps*0."""
     n = dual_norm(a)
     nr, nd = n.real, n.dual
     # v / (n + eps n*) expanded with eps^2 = 0
-    return DualVector(a.real / nr, a.dual / nr - a.real * nd / (nr * nr))
+    return DualScalar(a.real / nr, a.dual / nr - a.real * nd / (nr * nr))
 
 
-def dual_angle(a: DualVector, b: DualVector) -> DualScalar:
+def dual_angle(a: DualScalar, b: DualScalar) -> DualScalar:
     """Dual angle theta + eps*theta_star between two dual unit vectors
     (oriented lines).
 

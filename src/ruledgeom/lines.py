@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualVector, cross3, norm3
+from .dual import DualScalar, cross3, norm3
 from .errors import NotALine
 
 # Tolerance for accepting a dual vector as a line (unit direction,
@@ -67,12 +67,12 @@ class Line:
         return _scalar(_row_norm(cross3(q - self.point, self.direction)))
 
 
-def line_to_dual(line: Line) -> DualVector:
+def line_to_dual(line: Line) -> DualScalar:
     """E. Study image of an oriented line: (direction, point x direction)."""
-    return DualVector(line.direction, cross3(line.point, line.direction))
+    return DualScalar(line.direction, cross3(line.point, line.direction))
 
 
-def dual_to_line(v: DualVector) -> Line:
+def dual_to_line(v: DualScalar) -> Line:
     """Recover the oriented line of a dual unit vector.
 
     Raises NotALine unless <a,a> = 1 and <a,a*> = 0 within

@@ -27,10 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import DualScalar, cross3, norm3
+from .dual import DualScalar, cross3
 from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
 from .surface import (DEGENERATE_SIGMA, END_TRIM, DualCurvatureInvariants,
-                      SurfaceAnalysis, _fd1, analyze, spline_surface)
+                      SurfaceAnalysis, _blocks, _cols, _fd1, _norm, analyze,
+                      dual_turn, spline_surface)
 
 # Guard bands for the closed-form offset invariants (they divide by gamma
 # and by tan/cot of theta, which the formulas leave undefined at zero).
@@ -95,7 +96,8 @@ def construct_offset(analysis: SurfaceAnalysis,
     part, normalized, is the director e1, and the striction line moves by
     theta_star along g.  The moment c1 x e1 of the constructed ruling is
     checked against the ruling's dual part, which validates the striction
-    transport; the defect is reported as transport_residual.
+    transport; the defect is reported as transport_residual.  All of it
+    runs in column blocks (surface.BLOCK).
 
     Raises DegenerateOffset when the constructed indicatrix is singular
     everywhere (the offset is not a surface of the analyzable class, e.g.
@@ -109,23 +111,29 @@ def construct_offset(analysis: SurfaceAnalysis,
     cos, sin = np.cos(th.real), np.sin(th.real)
     cos_bar = DualScalar(cos, -th.dual * sin)
     sin_bar = DualScalar(sin, th.dual * cos)
-    e_t, t_t, _ = a.dual_frame()
-    ruling = cos_bar * e_t + sin_bar * t_t
-    e1 = ruling.real / norm3(ruling.real)
-    c1 = a.c + th.dual * a.g
+    e1, c1 = np.empty((3, a.n)), np.empty((3, a.n))
+    transport = []
+    for sl in _blocks(a.n):
+        real, dual = dual_turn(*_cols(sl, cos, cos_bar.dual, sin, sin_bar.dual,
+                                      a.e, a.e_star, a.t, a.t_star))
+        e1_b = np.divide(real, _norm(real), out=e1[:, sl])
+        c1_b = np.add(a.c[:, sl], th.dual[sl] * a.g[:, sl], out=c1[:, sl])
+        # dual part of the rotated dual ruling must equal c1 x e1
+        dual -= cross3(c1_b, e1_b)
+        transport.append(np.max(_norm(dual)))
     e1.flags.writeable = c1.flags.writeable = False
 
-    # dual part of the rotated dual ruling must equal c1 x e1
-    transport = float(np.max(norm3(ruling.dual - cross3(c1, e1))))
-
-    sigma1 = norm3(_fd1(e1, float(a.u[1] - a.u[0])))
-    if np.max(sigma1) < DEGENERATE_SIGMA:
+    h = float(a.u[1] - a.u[0])
+    # np.max, not max(): a NaN speed must not read as degenerate
+    sigma1_max = np.max([np.max(_norm(_fd1(e1, h, sl)))
+                         for sl in _blocks(a.n)])
+    if sigma1_max < DEGENERATE_SIGMA:
         raise DegenerateOffset(
             "offset indicatrix is singular everywhere: the rotated director "
             "does not move (|e1'| = 0, e.g. gamma*sin(theta) = 0 identically)")
     return ConstructedOffset(
         theta_bar=th, cos_bar=cos_bar, sin_bar=sin_bar, e1=e1, c1=c1,
-        transport_residual=transport)
+        transport_residual=float(np.max(transport)))
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,8 @@ class PredictedInvariants:
     """Closed-form offset invariants implied by the Mannheim relations.
 
     Entries whose formula divides by a guarded quantity are NaN outside
-    the guard band.  The dual spherical radius of curvature rho1 is the
-    dual offset angle theta_bar itself.
+    the guard band (the arrays are read-only).  The dual spherical radius
+    of curvature rho1 is the dual offset angle theta_bar itself.
     """
 
     dsbar1_dsbar: DualScalar
@@ -167,6 +175,8 @@ def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
         gamma1 = np.where(sin_ok, cot, np.nan)
         Delta1 = np.where(sin_ok & gamma_ok, th.dual * cot + d_over_g, np.nan)
         delta1 = np.where(sin_ok & gamma_ok, d_over_g * cot - th.dual, np.nan)
+    for x in (gamma1, Delta1, delta1):
+        x.flags.writeable = False
 
     return PredictedInvariants(
         dsbar1_dsbar=dsbar, gamma1=gamma1, Delta1=Delta1, delta1=delta1,
@@ -193,16 +203,10 @@ class OffsetReport:
     offset_invariants: DualCurvatureInvariants
     mannheim_residual_real: float
     mannheim_residual_dual: float
-    rows: list
+    rows: tuple[ComparisonRow, ...]
     base_max_abs_Delta: float
     offset_max_abs_Delta: float
     n_valid: int
-
-
-def _max_at(arr, mask) -> Optional[float]:
-    if not np.any(mask):
-        return None
-    return float(np.max(np.abs(np.asarray(arr)[mask])))
 
 
 def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
@@ -212,6 +216,7 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
     Samples are paired by the shared parameter u.  Comparisons skip
     END_TRIM samples at each end (one-sided difference stencils), samples
     inside the singularity guards, and samples where theta leaves (0, pi).
+    The residuals and rows are formed in column blocks (surface.BLOCK).
     Raises DegenerateOffset for the identity offset and for offsets whose
     indicatrix the pipeline cannot process."""
     a = analysis
@@ -231,55 +236,81 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
             f"constructed offset has a singular indicatrix: {exc}") from exc
 
     pred = predicted_invariants(a, th, built.cos_bar, built.sin_bar)
-
-    interior = np.zeros(a.n, dtype=bool)
-    interior[END_TRIM:a.n - END_TRIM] = True
-    in_band = (th.real > THETA_BAND) & (th.real < np.pi - THETA_BAND)
-    base_ok = interior & in_band
-
-    # Mannheim condition: asymptotic normal of the base = central normal
-    # of the recomputed offset (the interior is never empty: n >= 5).
-    mann_real = _max_at(norm3(a.g - off.t), interior)
-    mann_dual = _max_at(norm3(a.g_star - off.t_star), interior)
-
-    rows: list[ComparisonRow] = []
-
-    def add(name, predicted, recomputed):
-        # a guarded prediction is NaN outside its guard band
-        mask = base_ok & np.isfinite(predicted)
-        rows.append(ComparisonRow(
-            name=name, deviation=_max_at(predicted - recomputed, mask),
-            n_compared=int(np.sum(mask))))
-
-    speed_ratio = off.sigma / a.sigma
-    add("ds1/ds", pred.dsbar1_dsbar.real, speed_ratio)
-    dsbar_rec_dual = speed_ratio * (off.Delta - a.Delta)
-    add("dsbar1/dsbar (dual part)", pred.dsbar1_dsbar.dual, dsbar_rec_dual)
-    add("gamma1", pred.gamma1, off.gamma)
-    add("Delta1", pred.Delta1, off.Delta)
-    add("delta1", pred.delta1, off.delta)
-
     inv = off.invariants()
-    add("R1 (real)", pred.R1.real, inv.R.real)
-    add("R1 (dual)", pred.R1.dual, inv.R.dual)
-    add("rho1 (angle)", pred.rho1.real, inv.rho.real)
-    add("rho1 (distance)", pred.rho1.dual, inv.rho.dual)
+    names = ("ds1/ds", "dsbar1/dsbar (dual part)", "gamma1", "Delta1",
+             "delta1", "R1 (real)", "R1 (dual)", "rho1 (angle)",
+             "rho1 (distance)", "d0_1 (real)", "d0_1 (dual)")
+    maxima = [[] for _ in names]
+    counts = [0] * len(names)
+    mann_real, mann_dual = [], []
+    n_valid = 0
 
-    # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
-    # recomputed offset frame.
-    e1_t, _, g1_t = off.dual_frame()
-    d0_pred = built.cos_bar * e1_t + built.sin_bar * g1_t
-    d0_rec = inv.d0
-    add("d0_1 (real)", norm3(d0_pred.real - d0_rec.real), np.zeros(a.n))
-    add("d0_1 (dual)", norm3(d0_pred.dual - d0_rec.dual), np.zeros(a.n))
+    for sl in _blocks(a.n):
+        interior = slice(max(END_TRIM - sl.start, 0),
+                         max(a.n - END_TRIM - sl.start, 0))
+        base_ok = np.zeros(sl.stop - sl.start, dtype=bool)
+        base_ok[interior] = True
+        theta = th.real[sl]
+        base_ok &= (theta > THETA_BAND) & (theta < np.pi - THETA_BAND)
+        n_valid += np.count_nonzero(base_ok)
+        e1, e1_s, g1, g1_s = _cols(sl, off.e, off.e_star, off.g, off.g_star)
 
+        # Mannheim condition: asymptotic normal of the base = central
+        # normal of the recomputed offset (the interior is never empty:
+        # n >= 5).
+        for maxed, base_g, off_t in ((mann_real, a.g, off.t),
+                                     (mann_dual, a.g_star, off.t_star)):
+            r = _norm(base_g[:, sl] - off_t[:, sl])[interior]
+            if r.size:
+                maxed.append(np.max(np.abs(r)))
+
+        speed_ratio = off.sigma[sl] / a.sigma[sl]
+        # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
+        # recomputed offset frame, against the offset's own d0
+        d0_pred = dual_turn(*_cols(sl, built.cos_bar.real, built.cos_bar.dual,
+                                   built.sin_bar.real, built.sin_bar.dual),
+                            e1, e1_s, g1, g1_s)
+        d0_rec = dual_turn(*_cols(sl, inv.cos_rho.real, inv.cos_rho.dual,
+                                  inv.R.real, inv.R.dual), e1, e1_s, g1, g1_s)
+        pairs = (
+            (pred.dsbar1_dsbar.real[sl], speed_ratio),
+            (pred.dsbar1_dsbar.dual[sl],
+             speed_ratio * (off.Delta[sl] - a.Delta[sl])),
+            (pred.gamma1[sl], off.gamma[sl]),
+            (pred.Delta1[sl], off.Delta[sl]),
+            (pred.delta1[sl], off.delta[sl]),
+            (pred.R1.real[sl], inv.R.real[sl]),
+            (pred.R1.dual[sl], inv.R.dual[sl]),
+            (pred.rho1.real[sl], inv.rho.real[sl]),
+            (pred.rho1.dual[sl], inv.rho.dual[sl]),
+            (_norm(d0_pred[0] - d0_rec[0]), 0.0),
+            (_norm(d0_pred[1] - d0_rec[1]), 0.0))
+        for k, (predicted, recomputed) in enumerate(pairs):
+            # a guarded prediction is NaN outside its guard band
+            mask = base_ok & np.isfinite(predicted)
+            count = np.count_nonzero(mask)
+            if count:
+                deviation = np.abs(predicted - recomputed)
+                maxima[k].append(np.max(
+                    deviation if count == len(mask) else deviation[mask]))
+            counts[k] += count
+
+    rows = tuple(ComparisonRow(name=name, deviation=_merged_max(m),
+                               n_compared=int(count))
+                 for name, m, count in zip(names, maxima, counts))
     return OffsetReport(
         constructed=built, offset_analysis=off, offset_invariants=inv,
-        mannheim_residual_real=mann_real, mannheim_residual_dual=mann_dual,
-        rows=rows,
+        mannheim_residual_real=_merged_max(mann_real),
+        mannheim_residual_dual=_merged_max(mann_dual), rows=rows,
         base_max_abs_Delta=float(np.max(np.abs(a.Delta))),
         offset_max_abs_Delta=float(np.max(np.abs(off.Delta))),
-        n_valid=int(np.sum(base_ok)))
+        n_valid=int(n_valid))
+
+
+def _merged_max(maxima: list) -> Optional[float]:
+    """The maximum of block maxima, None when no block had a sample
+    (np.max, not max(): a NaN must propagate)."""
+    return float(np.max(maxima)) if maxima else None
 
 
 def flattening_profile(analysis: SurfaceAnalysis, theta) -> np.ndarray:

@@ -21,6 +21,16 @@ field e(u) (its spherical indicatrix) and a base curve.  The pipeline
 Derivatives come from analytic oracles when the spec provides them and
 from second-order central differences on the grid otherwise; endpoint
 samples use one-sided stencils and are excluded from residual claims.
+
+The per-sample arithmetic (the grid differences, striction curve, frame,
+invariants and moments of `analyze`, all of `frame_ode_residual`, and in
+offsets.py the offset construction and comparison rows) runs in column
+blocks of BLOCK samples, whose (3, BLOCK) temporaries stay in a 2-MB L2
+cache; results go into the full arrays, and block maxima and counts are
+merged.  Each element goes through the same ufuncs either way, so the
+block size changes no bit, only the speed: it is a constant, not a
+setting (8192 measured faster than 2048 and 32768; n <= BLOCK is one
+block).  Oracles and quadrature run on the whole grid.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import solve_banded
 
-from .dual import (DualScalar, DualVector, cross3, dot3, dual_cos, dual_div,
-                   dual_sin, dual_sqrt, norm3, read_only)
+from .dual import (DualScalar, cross3, dual_cos, dual_div, dual_sin,
+                   dual_sqrt, norm3, read_only, sum3)
 from .errors import DegenerateIndicatrix
 
 # Indicatrix speeds below this mean the director is (locally) constant.
@@ -43,6 +53,41 @@ DEGENERATE_SIGMA = 1e-9
 DIRECTOR_UNIT_TOL = 1e-9
 # Samples excluded from residuals at each grid end (one-sided stencils).
 END_TRIM = 2
+# Samples per column block of the per-sample arithmetic (module docstring).
+BLOCK = 8192
+
+
+def _blocks(n: int):
+    """Column slices of [0, n), BLOCK samples each (the last may be
+    shorter)."""
+    for start in range(0, n, BLOCK):
+        yield slice(start, min(start + BLOCK, n))
+
+
+def _cols(sl: slice, *arrays) -> tuple:
+    """The columns sl of (n,) and (3, n) arrays, as views."""
+    return tuple(x[..., sl] for x in arrays)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dot3 of (3, w) column blocks, with the bits of the whole batch for
+    every w, one included."""
+    return sum3(u * v)
+
+
+def _norm(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """norm3 of a (3, w) column block, like _dot."""
+    return np.sqrt(sum3(u * u), out=out)
+
+
+def dual_turn(cos, cos_dual, sin, sin_dual, e, e_star, g, g_star) -> tuple:
+    """Real and dual parts of (cos + eps cos_dual) ~e + (sin + eps sin_dual)
+    ~g for the dual vectors ~e = e + eps e_star and ~g = g + eps g_star:
+    the arithmetic of the dual products and their sum, on plain arrays
+    (whole fields or column blocks).  The Darboux axis, the offset ruling
+    and the offset's predicted Darboux axis are such turns."""
+    return (cos * e + sin * g,
+            (cos * e_star + cos_dual * e) + (sin * g_star + sin_dual * g))
 
 
 @dataclass
@@ -105,13 +150,15 @@ class DualCurvatureInvariants:
     R: DualScalar        # fields are (n,) arrays; R = sin(rho)
     rho: DualScalar      # fields are (n,) arrays
     cos_rho: DualScalar = field(repr=False)
-    frame_eg: tuple[DualVector, DualVector] = field(repr=False)
+    frame_eg: tuple[DualScalar, DualScalar] = field(repr=False)
 
     @functools.cached_property
-    def d0(self) -> DualVector:
+    def d0(self) -> DualScalar:
         """cos(rho) e + sin(rho) g; fields are (3, n) arrays."""
         e_t, g_t = self.frame_eg
-        return self.cos_rho * e_t + self.R * g_t
+        return DualScalar(*dual_turn(self.cos_rho.real, self.cos_rho.dual,
+                                     self.R.real, self.R.dual,
+                                     e_t.real, e_t.dual, g_t.real, g_t.dual))
 
     def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
         """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""
@@ -167,12 +214,12 @@ class SurfaceAnalysis:
     def gamma_bar(self) -> DualScalar:
         return DualScalar(self.gamma, self.gamma_dual)
 
-    def dual_frame(self) -> tuple[DualVector, DualVector, DualVector]:
+    def dual_frame(self) -> tuple[DualScalar, DualScalar, DualScalar]:
         """Dual Darboux frame: e, t, g with moments taken about the
         striction curve."""
-        return (DualVector(self.e, self.e_star),
-                DualVector(self.t, self.t_star),
-                DualVector(self.g, self.g_star))
+        return (DualScalar(self.e, self.e_star),
+                DualScalar(self.t, self.t_star),
+                DualScalar(self.g, self.g_star))
 
     def invariants(self) -> DualCurvatureInvariants:
         """Dual curvature invariants, computed afresh on every call."""
@@ -278,12 +325,28 @@ def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
     return curve
 
 
-def _fd1(y: np.ndarray, h: float) -> np.ndarray:
-    """Second-order d/du of a (3, n) field on a uniform grid."""
-    d = np.empty_like(y)
-    d[:, 1:-1] = (y[:, 2:] - y[:, :-2]) / (2.0 * h)
-    d[:, 0] = (-3.0 * y[:, 0] + 4.0 * y[:, 1] - y[:, 2]) / (2.0 * h)
-    d[:, -1] = (3.0 * y[:, -1] - 4.0 * y[:, -2] + y[:, -3]) / (2.0 * h)
+def _fd1(y: np.ndarray, h: float, cols: Optional[slice] = None,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Second-order d/du of a (3, n) field on a uniform grid: central
+    differences, and one-sided stencils at the two ends.  With cols, only
+    the columns of that slice, written into out when given."""
+    n = y.shape[1]
+    if cols is None:
+        d = np.empty((3, n))
+        for sl in _blocks(n):
+            _fd1(y, h, sl, d[:, sl])
+        return d
+    start, stop = cols.start, cols.stop
+    d = np.empty((3, stop - start)) if out is None else out
+    lo, hi = max(start, 1), min(stop, n - 1)
+    if lo < hi:
+        inner = np.subtract(y[:, lo + 1:hi + 1], y[:, lo - 1:hi - 1],
+                            out=d[:, lo - start:hi - start])
+        inner /= 2.0 * h
+    if start == 0:
+        d[:, 0] = (-3.0 * y[:, 0] + 4.0 * y[:, 1] - y[:, 2]) / (2.0 * h)
+    if stop == n:
+        d[:, -1] = (3.0 * y[:, -1] - 4.0 * y[:, -2] + y[:, -3]) / (2.0 * h)
     return d
 
 
@@ -359,8 +422,11 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     """Run the full pipeline: reparametrization, striction curve, geodesic
     frame and invariants on the sample grid."""
     u, h = _grid_of(spec)
+    n = len(u)
     e = _eval_curve(spec.director, u)
-    unit_defect = np.max(np.abs(norm3(e) - 1.0))
+    # np.max, not max(): a NaN defect must fail the guard below
+    unit_defect = np.max([np.max(np.abs(_norm(e[:, sl]) - 1.0))
+                          for sl in _blocks(n)])
     if not unit_defect <= DIRECTOR_UNIT_TOL:   # guards fail on NaN too
         raise ValueError(
             f"director is not a unit field (max defect {unit_defect:.3e})")
@@ -369,7 +435,9 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     e_uu = (_eval_curve(spec.director_d2, u) if spec.director_d2 is not None
             else _fd1(e_u, h))
 
-    sigma = norm3(e_u)
+    sigma = np.empty(n)
+    for sl in _blocks(n):
+        _norm(e_u[:, sl], out=sigma[sl])
     if not np.min(sigma) >= DEGENERATE_SIGMA:
         raise DegenerateIndicatrix(
             f"indicatrix speed falls to {np.min(sigma):.3e}: the director "
@@ -380,45 +448,73 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     p = _eval_curve(spec.base, u)
     p_u = (_eval_curve(spec.base_d1, u) if spec.base_d1 is not None
            else _fd1(p, h))
+    analytic = spec.has_analytic_frame
+    p_uu = _eval_curve(spec.base_d2, u) if analytic else None
 
-    sig2 = sigma * sigma
-    sig3 = sig2 * sigma
-    pu_eu = dot3(p_u, e_u)
-    lam = -pu_eu / sig2
-    c = p + lam * e
+    c, t, g, e_star, t_star, g_star = (np.empty((3, n)) for _ in range(6))
+    c_u = np.empty((3, n)) if analytic else None
+    delta, Delta, gamma, gamma_dual, Delta_sigma = (
+        np.empty(n) for _ in range(5))
+    finite = True
 
-    if spec.has_analytic_frame:
-        p_uu = _eval_curve(spec.base_d2, u)
-        sig_u = dot3(e_u, e_uu) / sigma
-        lam_u = (-(dot3(p_uu, e_u) + dot3(p_u, e_uu)) / sig2
-                 + 2.0 * pu_eu * sig_u / sig3)
-        c_u = p_u + lam_u * e + lam * e_u
+    def striction(sl):
+        """c = p + lam e with lam = -<p', e'>/sigma^2, and its analytic
+        derivative c_u when the oracles give one."""
+        eb, eub, euub, pub, sig = _cols(sl, e, e_u, e_uu, p_u, sigma)
+        sig2 = sig * sig
+        pu_eu = _dot(pub, eub)
+        lam = -pu_eu / sig2
+        np.add(p[:, sl], lam * eb, out=c[:, sl])
+        if analytic:
+            sig_u = _dot(eub, euub) / sig
+            lam_u = (-(_dot(p_uu[:, sl], eub) + _dot(pub, euub)) / sig2
+                     + 2.0 * pu_eu * sig_u / (sig2 * sig))
+            np.add(pub + lam_u * eb, lam * eub, out=c_u[:, sl])
+
+    def frame(sl):
+        """t = de/ds, g = e x t, the invariants and the moments about c."""
+        nonlocal finite
+        eb, eub, euub, cb, sig = _cols(sl, e, e_u, e_uu, c, sigma)
+        tb = np.divide(eub, sig, out=t[:, sl])
+        gb = cross3(eb, tb, out=g[:, sl])
+        c_s = c_u[:, sl] / sig
+        db, Db, gmb = _cols(sl, delta, Delta, gamma)
+        db[:] = _dot(c_s, eb)
+        Db[:] = _dot(c_s, gb)
+        # conical curvature: det(e, e', e'') / sigma^3
+        np.divide(_dot(cross3(eb, eub), euub), sig * sig * sig, out=gmb)
+        np.subtract(db, gmb * Db, out=gamma_dual[sl])
+        np.multiply(Db, sig, out=Delta_sigma[sl])
+        # a NaN or inf from any oracle reaches c or gamma (checked below,
+        # after the arc length); the moments of such a block are not formed
+        finite = finite and np.isfinite(cb).all() and np.isfinite(gmb).all()
+        if finite:
+            for vec, moment in ((eb, e_star), (tb, t_star), (gb, g_star)):
+                cross3(cb, vec, out=moment[:, sl])
+
+    if analytic:
+        for sl in _blocks(n):
+            striction(sl)
+            frame(sl)
     else:
+        for sl in _blocks(n):
+            striction(sl)
         c_u = _fd1(c, h)
-
-    t = e_u / sigma
-    g = cross3(e, t)
-    c_s = c_u / sigma
-
-    delta = dot3(c_s, e)
-    Delta = dot3(c_s, g)
-    # conical curvature: det(e, e', e'') / sigma^3
-    gamma = dot3(cross3(e, e_u), e_uu) / sig3
-    gamma_dual = delta - gamma * Delta
+        for sl in _blocks(n):
+            frame(sl)
 
     integrate = simpson_integrator(u)
     s = integrate(sigma)
-    s_star = integrate(Delta * sigma)
+    s_star = integrate(Delta_sigma)
     if not np.all(np.diff(s) > 0.0):
         raise DegenerateIndicatrix("arc length failed to increase strictly")
-    # a NaN or inf from any oracle reaches c, gamma or the running s_star
-    if not (np.isfinite(s_star[-1]) and np.isfinite(c).all()
-            and np.isfinite(gamma).all()):
+    # the running s_star carries a non-finite Delta sample to its end
+    if not (np.isfinite(s_star[-1]) and finite):
         raise ValueError("surface oracles returned non-finite samples")
 
     return SurfaceAnalysis(
         spec=spec, u=u, s=s, s_star=s_star, sigma=sigma, c=c, e=e, t=t, g=g,
-        e_star=cross3(c, e), t_star=cross3(c, t), g_star=cross3(c, g),
+        e_star=e_star, t_star=t_star, g_star=g_star,
         Delta=Delta, delta=delta, gamma=gamma, gamma_dual=gamma_dual,
         reparam=Reparametrization(u, s, sigma),
         e_u=e_u, e_uu=e_uu, c_u=c_u)
@@ -460,50 +556,119 @@ def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
     differences otherwise.  END_TRIM samples at each end are excluded.
     The real row de/ds = t is not formed: `analyze` defines t as e_u/sigma,
     so its defect is 0 by construction, and real_max comes from the t and
-    g equations.  A NaN defect in any row reads as a NaN maximum."""
+    g equations.  A NaN defect in any row reads as a NaN maximum.  Each
+    column block holds three (3, BLOCK) temporaries at a time."""
     a = analysis
     h = float(a.u[1] - a.u[0])
-    sl = slice(END_TRIM, a.n - END_TRIM)
-
-    if a.spec.has_analytic_frame:
-        sig_u = dot3(a.e_u, a.e_uu) / a.sigma
-        t_u = a.e_uu / a.sigma - a.e_u * (sig_u / (a.sigma ** 2))
-        g_u = cross3(a.e_u, a.t) + cross3(a.e, t_u)
-    else:
-        t_u = _fd1(a.t, h)
-        g_u = _fd1(a.g, h)
-
-    # real parts evolve in s
-    res_t = norm3(t_u / a.sigma - (a.gamma * a.g - a.e))
-    res_g = norm3(g_u / a.sigma + a.gamma * a.t)
-
-    # dual parts evolve in the dual arc length: divide by sigma*(1 + eps*Delta)
-    inv_speed = dual_div(DualScalar(1.0, 0.0),
-                         DualScalar(a.sigma, a.sigma * a.Delta))
-
-    def d_dsbar_dual(vec_u, vec):
-        """Dual part of d/dsbar of the dual vector (vec, c x vec)."""
-        moment_u = cross3(a.c_u, vec) + cross3(a.c, vec_u)
-        return inv_speed.real * moment_u + inv_speed.dual * vec_u
-
-    # dual parts of the right-hand sides gamma_bar*g~ - e~ and
-    # -gamma_bar*t~ (the latter as gbar_t, the dual part of gamma_bar*t~)
-    rhs_t = (a.gamma * a.g_star + a.gamma_dual * a.g) - a.e_star
-    gbar_t = a.gamma * a.t_star + a.gamma_dual * a.t
-    dres_e = norm3(d_dsbar_dual(a.e_u, a.e) - a.t_star)
-    dres_t = norm3(d_dsbar_dual(t_u, a.t) - rhs_t)
-    dres_g = norm3(d_dsbar_dual(g_u, a.g) + gbar_t)
-
+    real, dual, ortho = [], [], []
+    for sl in _blocks(a.n):
+        _frame_ode_block(a, h, sl, real, dual, ortho)
     # np.max, not max(): a NaN defect must propagate
-    ortho = np.max([np.max(np.abs(x)) for x in (
-        dot3(a.e, a.t), dot3(a.t, a.g), dot3(a.e, a.g),
-        norm3(a.e) - 1.0, norm3(a.t) - 1.0, norm3(a.g) - 1.0)])
+    return FrameOdeResiduals(real_max=float(np.max(real)),
+                             dual_max=float(np.max(dual)),
+                             orthonormality_max=float(np.max(ortho)))
 
-    return FrameOdeResiduals(
-        real_max=float(np.max([np.max(r[sl]) for r in (res_t, res_g)])),
-        dual_max=float(np.max([np.max(r[sl])
-                               for r in (dres_e, dres_t, dres_g)])),
-        orthonormality_max=float(ortho))
+
+def _add_product(y: np.ndarray, s: np.ndarray, v: np.ndarray) -> None:
+    """y += s * v for (3, w) y and v, a row at a time (a (w,) temporary)."""
+    for k in range(3):
+        y[k] += s * v[k]
+
+
+def _frame_ode_block(a: SurfaceAnalysis, h: float, sl: slice, real: list,
+                     dual: list, ortho: list) -> None:
+    """Append the block maxima of frame_ode_residual's rows on the columns
+    sl to real, dual and ortho (the first two only from samples outside
+    the END_TRIM ends).  Every temporary is written in place, in the order
+    of operations of the rows' formulas."""
+    e, t, g, e_s, t_s, g_s, c, c_u, e_u, e_uu = _cols(
+        sl, a.e, a.t, a.g, a.e_star, a.t_star, a.g_star, a.c, a.c_u,
+        a.e_u, a.e_uu)
+    sigma, gamma, gamma_dual, Delta = _cols(
+        sl, a.sigma, a.gamma, a.gamma_dual, a.Delta)
+    keep = slice(max(END_TRIM - sl.start, 0),
+                 max(a.n - END_TRIM - sl.start, 0))
+
+    def norm_max(x, maxima):
+        """Append max |x| over the kept samples; x, (3, w), is scratch."""
+        r = sum3(np.multiply(x, x, out=x))
+        np.sqrt(r, out=r)
+        if r[keep].size:
+            maxima.append(np.max(r[keep]))
+
+    # dual parts evolve in the dual arc length: divide by
+    # sigma*(1 + eps*Delta), whose inverse has real part 1/sigma
+    inv_dual = dual_div(DualScalar(1.0, 0.0),
+                        DualScalar(sigma, sigma * Delta)).dual
+
+    def d_dsbar_dual(vec_u, vec, out, scratch):
+        """Dual part of d/dsbar of the dual vector (vec, c x vec)."""
+        cross3(c_u, vec, out=out)
+        out += cross3(c, vec_u, out=scratch)   # the moment's derivative
+        np.multiply(1.0 / sigma, out, out=out)
+        out += np.multiply(inv_dual, vec_u, out=scratch)
+
+    analytic = a.spec.has_analytic_frame
+    if analytic:
+        x = np.multiply(e_u, e_uu)
+        sig_u = sum3(x)                        # dot3(e_u, e_uu)
+        sig_u /= sigma
+        q = sigma ** 2
+        np.divide(sig_u, q, out=q)
+        del sig_u
+        t_u = np.divide(e_uu, sigma)           # e_uu/sigma - e_u*sig_u/sigma^2
+        t_u -= np.multiply(e_u, q, out=x)
+        del q
+    else:
+        t_u = _fd1(a.t, h, sl)
+        x = np.empty_like(t_u)
+    y = np.empty_like(t_u)
+
+    # real part, dt/ds = gamma*g - e
+    np.divide(t_u, sigma, out=x)
+    np.multiply(gamma, g, out=y)
+    y -= e
+    x -= y
+    norm_max(x, real)
+    # dual part, against gamma_bar*g~ - e~
+    d_dsbar_dual(t_u, t, x, y)
+    np.multiply(gamma, g_s, out=y)
+    _add_product(y, gamma_dual, g)
+    y -= e_s
+    x -= y
+    norm_max(x, dual)
+
+    if analytic:
+        g_u = cross3(e_u, t, out=y)
+        g_u += cross3(e, t_u, out=x)
+    else:
+        g_u = _fd1(a.g, h, sl, out=y)
+    w = t_u                                    # t_u is no longer read
+    # real part, dg/ds = -gamma*t
+    np.divide(g_u, sigma, out=x)
+    x += np.multiply(gamma, t, out=w)
+    norm_max(x, real)
+    # dual part, against -gamma_bar*t~, whose dual part is gbar_t
+    d_dsbar_dual(g_u, g, x, w)
+    np.multiply(gamma, t_s, out=w)
+    _add_product(w, gamma_dual, t)
+    x += w
+    norm_max(x, dual)
+    # de/ds~ = t~ (dual part)
+    d_dsbar_dual(e_u, e, x, w)
+    x -= t_s
+    norm_max(x, dual)
+
+    def ortho_max(u, v=None):
+        """Append max |<u, v>|, or max ||u| - 1| without v."""
+        r = sum3(np.multiply(u, u if v is None else v, out=x))
+        if v is None:
+            np.sqrt(r, out=r)
+            r -= 1.0
+        ortho.append(np.max(np.abs(r, out=r)))
+
+    for vectors in ((e, t), (t, g), (e, g), (e,), (t,), (g,)):
+        ortho_max(*vectors)
 
 
 def spline_surface(u: np.ndarray, e: np.ndarray, p: np.ndarray,

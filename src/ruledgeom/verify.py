@@ -16,7 +16,7 @@ import numpy as np
 
 from . import catalog
 from .config import Tolerances
-from .dual import (DualScalar, DualVector, dot3, dual_angle, dual_cross,
+from .dual import (DualScalar, dot3, dual_angle, dual_cross,
                    dual_dot, dual_mul, dual_norm, dual_normalize, lift, norm3)
 from .lines import (common_perpendicular, dual_to_line, line_to_dual,
                     row_dot, sample_lines)
@@ -97,7 +97,7 @@ def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
                   "(relative, h=1e-5)", worst, tol.lift_fd_rel))
 
     def rand_dv():
-        return DualVector(rng.uniform(-2, 2, (n, 3)).T,
+        return DualScalar(rng.uniform(-2, 2, (n, 3)).T,
                           rng.uniform(-2, 2, (n, 3)).T)
 
     va, vb = rand_dv(), rand_dv()
@@ -111,7 +111,7 @@ def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
 
     dirs = rng.normal(size=(n, 3)).T
     dirs /= norm3(dirs)
-    vc = DualVector(dirs * rng.uniform(0.5, 3.0, (n, 1)).T,
+    vc = DualScalar(dirs * rng.uniform(0.5, 3.0, (n, 1)).T,
                     rng.uniform(-3, 3, (n, 3)).T)
     nn = dual_norm(dual_normalize(vc))
     out.append(_c("algebra: dual_normalize yields norm 1 + eps*0",
@@ -136,8 +136,8 @@ def suite_line_correspondence(tol, seed, analyses) -> list[Check]:
     foot = np.max(lines.distance_to_point(back.point))
 
     dist, _ = common_perpendicular(lines[0::2], lines[1::2])
-    ang = dual_angle(DualVector(a[:, 0::2], m[:, 0::2]),
-                     DualVector(a[:, 1::2], m[:, 1::2]))
+    ang = dual_angle(DualScalar(a[:, 0::2], m[:, 0::2]),
+                     DualScalar(a[:, 1::2], m[:, 1::2]))
     pair_dev = np.max(np.abs(np.abs(ang.dual) - dist))
 
     return [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ruledgeom import catalog
-from ruledgeom.dual import DualVector
+from ruledgeom.dual import DualScalar
 from ruledgeom.offsets import OffsetSpec, construct_offset
 from ruledgeom.surface import SurfaceSpec, analyze, sampled_surface
 
@@ -55,7 +55,7 @@ def test_vector_fields_are_component_major(build):
 
 def test_dual_vector_parts_are_read_only_views():
     real = np.zeros((3, 4))
-    v = DualVector(real, real)
+    v = DualScalar(real, real)
     assert real.flags.writeable and not v.real.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         v.dual[0, 0] = 1.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ruledgeom.dual import DualVector, dual_angle
+from ruledgeom.dual import DualScalar, dual_angle
 from ruledgeom.errors import NotALine
 from ruledgeom.lines import (Line, common_perpendicular, dual_to_line,
                              line_to_dual, row_dot, sample_lines)
@@ -29,21 +29,21 @@ def test_moment_independent_of_point():
 
 
 def test_dual_to_line_examples():
-    from ruledgeom.dual import DualVector
-    l = dual_to_line(DualVector((1, 0, 0), (0, 0, 0)))
+    from ruledgeom.dual import DualScalar
+    l = dual_to_line(DualScalar((1, 0, 0), (0, 0, 0)))
     assert np.allclose(l.point, [0, 0, 0]) and np.allclose(l.direction, [1, 0, 0])
 
-    l = dual_to_line(DualVector((1, 0, 0), (0, 1, 0)))
+    l = dual_to_line(DualScalar((1, 0, 0), (0, 1, 0)))
     assert np.allclose(l.point, [0, 0, 1], atol=1e-15)
     assert np.allclose(l.direction, [1, 0, 0])
 
 
 def test_dual_to_line_rejects_bad_moment():
-    from ruledgeom.dual import DualVector
+    from ruledgeom.dual import DualScalar
     with pytest.raises(NotALine):
-        dual_to_line(DualVector((1, 0, 0), (0.1, 0, 0)))
+        dual_to_line(DualScalar((1, 0, 0), (0.1, 0, 0)))
     with pytest.raises(NotALine):
-        dual_to_line(DualVector((1.1, 0, 0), (0, 0, 0)))
+        dual_to_line(DualScalar((1.1, 0, 0), (0, 0, 0)))
 
 
 def test_common_perpendicular_cases():
@@ -134,11 +134,11 @@ def test_dual_to_line_rejects_one_bad_row_of_a_batch():
     moment = v.dual.copy()
     moment[:, 17] += 1e-3 * v.real[:, 17]
     with pytest.raises(NotALine, match=r"\|<a,a\*>\|=1\.000e-03"):
-        dual_to_line(DualVector(v.real, moment))
+        dual_to_line(DualScalar(v.real, moment))
     real = v.real.copy()
     real[:, 31] *= 1.1
     with pytest.raises(NotALine):
-        dual_to_line(DualVector(real, v.dual))
+        dual_to_line(DualScalar(real, v.dual))
 
 
 def test_single_line_scalars_are_floats():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ruledgeom import catalog
 from ruledgeom.config import Tolerances
-from ruledgeom.dual import DualScalar, DualVector, dual_angle, dual_cos, dual_mul, dual_sin
+from ruledgeom.dual import DualScalar, dual_angle, dual_cos, dual_mul, dual_sin
 from ruledgeom.errors import DegenerateOffset
 from ruledgeom.io import render_offset_report
 from ruledgeom.offsets import (SIN_MIN, ComparisonRow, OffsetSpec,
@@ -290,7 +290,7 @@ def test_ruling_angle_recovers_offset_angle():
     e_t, _, _ = a.dual_frame()
     for theta, theta_star in ((0.0, 4.0 * SQ2), (np.pi / 4, 2.0 * SQ2)):
         built = construct_offset(a, OffsetSpec.constant(theta, theta_star))
-        e1_t = DualVector(built.e1, np.cross(built.c1, built.e1, axis=0))
+        e1_t = DualScalar(built.e1, np.cross(built.c1, built.e1, axis=0))
         ang = dual_angle(e_t, e1_t)
         assert np.max(np.abs(ang.real - theta)) < 1e-12
         assert np.max(np.abs(ang.dual - theta_star)) < 1e-12
@@ -368,8 +368,15 @@ def test_dual_values_are_read_only():
             assert part.shape == (a.n,)
             with pytest.raises(ValueError, match="read-only"):
                 part[0] = 123.0
+    for part in (pred.gamma1, pred.Delta1, pred.delta1):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1.0
+    rows = verify_offset(a, OffsetSpec.theorem(2.8, 0.7)).rows
+    assert isinstance(rows, tuple) and len(rows) == 11
+    with pytest.raises(AttributeError):
+        rows.append(None)
     own = np.zeros(3)
-    wrapped = DualVector(own, own)
+    wrapped = DualScalar(own, own)
     own[0] = 1.0
     assert wrapped.real[0] == 1.0 and own.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
