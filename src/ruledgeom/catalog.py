@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dual import dot3, norm3
+from .dual import dot3, norm3, read_only
 from .errors import ConfigError
 from .surface import SurfaceSpec
 
@@ -24,6 +24,24 @@ def _xyz(x, y, z):
 def _zero3(u):
     u = np.asarray(u, dtype=float)
     return np.zeros((3,) + u.shape).T
+
+
+def _trig_oracles():
+    """A wrapper that turns f(u, cos u, sin u) into the oracle u -> f(...),
+    with cos u and sin u evaluated once per grid for all the oracles it
+    wraps: while u equals, byte for byte, a private copy of the last grid,
+    that grid's read-only values are reused, so a grid changed in place
+    is evaluated again."""
+    last = {}
+
+    def trig(u):
+        u = np.asarray(u)
+        key = (u.dtype, u.shape, u.tobytes())
+        if last.get("key") != key:
+            last.update(key=key,
+                        values=(read_only(np.cos(u)), read_only(np.sin(u))))
+        return last["values"]
+    return lambda f: lambda u: f(u, *trig(u))
 
 
 def _unit_normalized(raw, raw_d1, raw_d2):
@@ -75,11 +93,12 @@ def cone(alpha: float, param_range=(0.0, 2.0 * np.pi),
     if not 0.0 < alpha < 0.5 * np.pi:
         raise ConfigError("cone half-angle must lie in (0, pi/2)")
     sa, ca = np.sin(alpha), np.cos(alpha)
+    oracle = _trig_oracles()
     return SurfaceSpec(
-        director=lambda u: _xyz(sa * np.cos(u), sa * np.sin(u),
-                                ca * np.ones_like(np.asarray(u, float))),
-        director_d1=lambda u: _xyz(-sa * np.sin(u), sa * np.cos(u), 0.0),
-        director_d2=lambda u: _xyz(-sa * np.cos(u), -sa * np.sin(u), 0.0),
+        director=oracle(lambda u, cos, sin: _xyz(
+            sa * cos, sa * sin, ca * np.ones_like(np.asarray(u, float)))),
+        director_d1=oracle(lambda u, cos, sin: _xyz(-sa * sin, sa * cos, 0.0)),
+        director_d2=oracle(lambda u, cos, sin: _xyz(-sa * cos, -sa * sin, 0.0)),
         base=_zero3, base_d1=_zero3, base_d2=_zero3,
         param_range=param_range, sample_count=sample_count,
         name=f"cone(alpha={alpha:g})")
@@ -96,15 +115,16 @@ def small_circle(beta: float, radius: float = 1.0,
         raise ConfigError("small_circle colatitude must lie in (0, pi/2)")
     sb, cb = np.sin(beta), np.cos(beta)
     r = float(radius)
+    oracle = _trig_oracles()
     return SurfaceSpec(
-        director=lambda u: _xyz(sb * np.cos(u), sb * np.sin(u),
-                                cb * np.ones_like(np.asarray(u, float))),
-        director_d1=lambda u: _xyz(-sb * np.sin(u), sb * np.cos(u), 0.0),
-        director_d2=lambda u: _xyz(-sb * np.cos(u), -sb * np.sin(u), 0.0),
-        base=lambda u: _xyz(-r * np.sin(u), r * np.cos(u),
-                            0.0 * np.asarray(u, float)),
-        base_d1=lambda u: _xyz(-r * np.cos(u), -r * np.sin(u), 0.0),
-        base_d2=lambda u: _xyz(r * np.sin(u), -r * np.cos(u), 0.0),
+        director=oracle(lambda u, cos, sin: _xyz(
+            sb * cos, sb * sin, cb * np.ones_like(np.asarray(u, float)))),
+        director_d1=oracle(lambda u, cos, sin: _xyz(-sb * sin, sb * cos, 0.0)),
+        director_d2=oracle(lambda u, cos, sin: _xyz(-sb * cos, -sb * sin, 0.0)),
+        base=oracle(lambda u, cos, sin: _xyz(
+            -r * sin, r * cos, 0.0 * np.asarray(u, float))),
+        base_d1=oracle(lambda u, cos, sin: _xyz(-r * cos, -r * sin, 0.0)),
+        base_d2=oracle(lambda u, cos, sin: _xyz(r * sin, -r * cos, 0.0)),
         param_range=param_range, sample_count=sample_count,
         name=f"small_circle(beta={beta:g})")
 
@@ -114,11 +134,12 @@ def helicoid(pitch: float, param_range=(0.0, 2.0 * np.pi),
     """Right helicoid: horizontal rulings through the z-axis, which is the
     striction line; constant distribution parameter equal to the pitch."""
     p = float(pitch)
+    oracle = _trig_oracles()
     return SurfaceSpec(
-        director=lambda u: _xyz(np.cos(u), np.sin(u),
-                                0.0 * np.asarray(u, float)),
-        director_d1=lambda u: _xyz(-np.sin(u), np.cos(u), 0.0),
-        director_d2=lambda u: _xyz(-np.cos(u), -np.sin(u), 0.0),
+        director=oracle(lambda u, cos, sin: _xyz(
+            cos, sin, 0.0 * np.asarray(u, float))),
+        director_d1=oracle(lambda u, cos, sin: _xyz(-sin, cos, 0.0)),
+        director_d2=oracle(lambda u, cos, sin: _xyz(-cos, -sin, 0.0)),
         base=lambda u: _xyz(0.0, 0.0, p * np.asarray(u, float)),
         base_d1=lambda u: _xyz(0.0, 0.0, p * np.ones_like(np.asarray(u, float))),
         base_d2=_zero3,

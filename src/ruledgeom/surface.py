@@ -31,6 +31,17 @@ merged.  Each element goes through the same ufuncs either way, so the
 block size changes no bit, only the speed: it is a constant, not a
 setting (8192 measured faster than 2048 and 32768; n <= BLOCK is one
 block).  Oracles and quadrature run on the whole grid.
+
+scipy: scipy.linalg is imported with this module; its LAPACK dgtsv solves
+the band system of an offset's or a sampled surface's spline last node
+(`offset`, sampled configs), and `analyze` and `mesh` on a builtin only
+import it.  scipy.interpolate, which brings scipy.special, optimize,
+sparse, spatial and fft with it (about 0.25 s and 23 MB), is imported on
+first use through the module __getattr__: by `verify`'s chain-rule check
+and grid_spline's fallback fits, so `analyze`, `offset` and `mesh` never
+load it.  scipy.linalg stays eager on purpose: deferring it too made
+every job faster but moved the heap state that the benchmark's reference
+pass runs in (CHANGES.md).
 """
 
 from __future__ import annotations
@@ -40,8 +51,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .dual import (DualScalar, cross3, dual_cos, dual_div, dual_sin,
                    dual_sqrt, norm3, read_only, sum3)
@@ -55,6 +66,27 @@ DIRECTOR_UNIT_TOL = 1e-9
 END_TRIM = 2
 # Samples per column block of the per-sample arithmetic (module docstring).
 BLOCK = 8192
+
+
+# scipy.interpolate's splines, imported on first use (module docstring)
+_INTERPOLANTS = ("CubicHermiteSpline", "CubicSpline")
+
+
+def _interpolant(name: str):
+    """The module attribute `name` of _INTERPOLANTS, importing
+    scipy.interpolate on the first read; an attribute already set (a
+    patched one too) is kept."""
+    if name not in globals():
+        from scipy import interpolate
+        for lazy in _INTERPOLANTS:
+            globals().setdefault(lazy, getattr(interpolate, lazy))
+    return globals()[name]
+
+
+def __getattr__(name: str):
+    if name in _INTERPOLANTS:
+        return _interpolant(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _blocks(n: int):
@@ -132,8 +164,9 @@ class Reparametrization:
     def chain_rule_residual(self) -> float:
         """max |ds/du * du/ds - 1| over nodes and interval midpoints of the
         monotone Hermite maps s(u) and u(s)."""
-        s_of_u = CubicHermiteSpline(self.u, self.s, self.sigma)
-        u_of_s = CubicHermiteSpline(self.s, self.u, 1.0 / self.sigma)
+        hermite = _interpolant("CubicHermiteSpline")
+        s_of_u = hermite(self.u, self.s, self.sigma)
+        u_of_s = hermite(self.s, self.u, 1.0 / self.sigma)
         probe = np.concatenate([self.u, 0.5 * (self.u[1:] + self.u[:-1])])
         ds_du = s_of_u.derivative()
         du_ds = u_of_s.derivative()
@@ -239,9 +272,12 @@ def _eval_curve(fn: Callable, u: np.ndarray) -> np.ndarray:
 
 def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> tuple:
     """(dx, slope, s) of CubicSpline(u, y.T, axis=0) for (3, n) samples y,
-    n >= 4: the steps, the (n - 1, 3) secant slopes and the (n, 3) slopes
-    at the nodes, with its input checks, its not-a-knot band system and
-    its solve_banded call (scipy 1.17.1)."""
+    n >= 4: the steps, the (3, n - 1) secant slopes and the (n, 3) slopes
+    at the nodes, with its input checks and its not-a-knot band system
+    (scipy 1.17.1).  The right-hand side is built in the (3, n) layout; its
+    transpose, a Fortran-ordered (n, 3) array, goes to LAPACK dgtsv (the
+    routine solve_banded calls for a (1, 1) band), which solves it in
+    place, and s is that transpose."""
     if not np.isfinite(u).all():
         raise ValueError("`x` must contain only finite values.")
     if not np.isfinite(y).all():
@@ -250,22 +286,31 @@ def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> tuple:
     dx = np.diff(u)
     if np.any(dx <= 0):
         raise ValueError("`x` must be strictly increasing sequence.")
-    dxr = dx.reshape(-1, 1)
-    slope = np.diff(y.T, axis=0) / dxr
-    A = np.zeros((3, n))
-    b = np.empty((n, 3))
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    A[1, 0] = dx[1]
-    A[0, 1] = d = u[2] - u[0]
-    b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d
-    A[1, -1] = dx[-2]
-    A[-1, -2] = d = u[-1] - u[-3]
-    b[-1] = ((dxr[-1]**2*slope[-2] + (2*d + dxr[-1])*dxr[-2]*slope[-1]) / d)
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    slope = np.diff(y, axis=1)
+    slope /= dx
+    # the sub-, main and super-diagonal of the band
+    dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    np.add(dx[:-1], dx[1:], out=d[1:-1])
+    d[1:-1] *= 2
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    b = np.empty((3, n))
+    inner = np.multiply(dx[1:], slope[:, :-1], out=b[:, 1:-1])
+    for k in range(3):     # (n,) temporaries
+        inner[k] += dx[:-1] * slope[k, 1:]
+    inner *= 3
+    # the not-a-knot rows, with scipy's (1,) step arrays
+    h0, h1, h_1, h_2 = dx[:1], dx[1:2], dx[-1:], dx[-2:-1]
+    d[0] = dx[1]
+    du[0] = w = u[2] - u[0]
+    b[:, 0] = ((h0 + 2*w) * h1 * slope[:, 0] + h0**2 * slope[:, 1]) / w
+    d[-1] = dx[-2]
+    dl[-1] = w = u[-1] - u[-3]
+    b[:, -1] = (h_1**2 * slope[:, -2] + (2*w + h_1) * h_2 * slope[:, -1]) / w
+    *_, s, info = dgtsv(dl, d, du, b.T, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
     return dx, slope, s
 
 
@@ -288,8 +333,8 @@ def _spline_last_node(u: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
     if not bound < np.inf:   # NaN fails too
         return None
     h_last = dx[-1:]
-    t = (s[-2] + s[-1] - 2 * slope[-1]) / h_last
-    c0, c1 = t / h_last, (slope[-1] - s[-2]) / h_last - t
+    t = (s[-2] + s[-1] - 2 * slope[:, -1]) / h_last
+    c0, c1 = t / h_last, (slope[:, -1] - s[-2]) / h_last - t
     z = u[-1] - u[-2]
     zz = z * z
     return (0.0 + y[:, -2]) + s[-2] * z + c1 * zz + c0 * (zz * z)
@@ -309,7 +354,7 @@ def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
     errors are raised here either way."""
     spline = last = None
     if len(u) < 4:
-        spline = CubicSpline(u, y.T, axis=0)
+        spline = _interpolant("CubicSpline")(u, y.T, axis=0)
     else:
         last = _spline_last_node(u, y)
 
@@ -317,7 +362,7 @@ def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
         nonlocal spline
         if last is None or not (x is u or np.array_equal(x, u)):
             if spline is None:
-                spline = CubicSpline(u, y.T, axis=0)
+                spline = _interpolant("CubicSpline")(u, y.T, axis=0)
             return spline(x)
         out = (y + 0.0).T
         out[-1] = last
@@ -446,8 +491,8 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         raise ValueError("surface oracles returned non-finite samples")
 
     p = _eval_curve(spec.base, u)
-    p_u = (_eval_curve(spec.base_d1, u) if spec.base_d1 is not None
-           else _fd1(p, h))
+    # without an oracle, p_u is differenced per block (striction below)
+    p_u = _eval_curve(spec.base_d1, u) if spec.base_d1 is not None else None
     analytic = spec.has_analytic_frame
     p_uu = _eval_curve(spec.base_d2, u) if analytic else None
 
@@ -460,7 +505,8 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     def striction(sl):
         """c = p + lam e with lam = -<p', e'>/sigma^2, and its analytic
         derivative c_u when the oracles give one."""
-        eb, eub, euub, pub, sig = _cols(sl, e, e_u, e_uu, p_u, sigma)
+        eb, eub, euub, sig = _cols(sl, e, e_u, e_uu, sigma)
+        pub = _fd1(p, h, sl) if p_u is None else p_u[:, sl]
         sig2 = sig * sig
         pu_eu = _dot(pub, eub)
         lam = -pu_eu / sig2

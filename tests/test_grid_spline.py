@@ -3,13 +3,14 @@ at the grid: `grid_spline` must equal an independently fitted
 interpolating spline bit for bit, at the grid and off it."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline, PPoly
 
-from ruledgeom import catalog, io
+from ruledgeom import catalog, io, surface
 from ruledgeom.dual import norm3
 from ruledgeom.offsets import OffsetSpec, construct_offset, verify_offset
 from ruledgeom.surface import (analyze, grid_spline, sampled_surface,
@@ -132,3 +133,37 @@ def test_verify_offset_calls_no_ppoly():
     with mock.patch.object(PPoly, "__call__", spy):
         verify_offset(a, JOBS["small_circle"][1])
     assert calls == []      # the last nodes of e1 and c1 need no spline
+
+
+# --- the not-a-knot band solve (its input errors: test_grid_kernels.py) ---
+
+def test_a_singular_band_system_raises_lin_alg_error():
+    # increasing, finite nodes whose steps span 370 decades: an exact zero
+    # pivot in LAPACK's elimination, for CubicSpline's solve as well
+    u = np.array([0.0, 1e-90, 1e-40, 1e280])
+    y = np.zeros((3, 4))
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            CubicSpline(u, y.T, axis=0)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            surface._not_a_knot_slopes(u, y)
+
+
+def test_band_solve_writes_the_slopes_into_its_right_hand_side():
+    """The (n, 3) slopes are the transpose of the (3, n) right-hand side,
+    solved in place: besides its outputs (the steps, the (3, n - 1) secant
+    slopes and the slopes, 7 arrays of n floats) the solve holds the band
+    (3 such arrays) and one row temporary; a copy of the right-hand side
+    in the (n, 3) layout would add 3 more."""
+    n = 40001
+    u = np.linspace(0.0, 3.0, n)
+    y = np.vstack([np.cos(u), np.sin(u), u * u])
+    surface._not_a_knot_slopes(u, y)       # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        _, _, s = surface._not_a_knot_slopes(u, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (n, 3) and s.T.flags.c_contiguous
+    assert peak < 12 * 8 * n
