@@ -166,8 +166,8 @@ class RunConfig:
                 for k, v in off.items() if k != "mode"}))
 
         seed = doc.get("seed", 42)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
 
         tol_doc = doc.get("tolerances", {})
         if not isinstance(tol_doc, dict):

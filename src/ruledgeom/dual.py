@@ -56,6 +56,10 @@ class DualScalar:
     def __mul__(self, other: "DualScalar | float") -> "DualScalar":
         return dual_mul(self, _as_dual(other))
 
+    def cols(self, sl: slice) -> "DualScalar":
+        """The columns sl (last axis) of both array parts, as read-only
+        views: a column block of a sampled field."""
+        return DualScalar(self.real[..., sl], self.dual[..., sl])
 
 
 def _as_dual(x) -> DualScalar:

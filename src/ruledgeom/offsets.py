@@ -27,11 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import DualScalar, cross3
+from .dual import DualScalar, cross3, norm3
 from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
-from .surface import (DEGENERATE_SIGMA, END_TRIM, DualCurvatureInvariants,
-                      SurfaceAnalysis, _blocks, _cols, _fd1, _norm, analyze,
-                      dual_turn, spline_surface)
+from .surface import (DEGENERATE_SIGMA, DualCurvatureInvariants,
+                      SurfaceAnalysis, _blocks, _fd1, _interior, analyze,
+                      spline_surface)
 
 # Guard bands for the closed-form offset invariants (they divide by gamma
 # and by tan/cot of theta, which the formulas leave undefined at zero).
@@ -114,18 +114,19 @@ def construct_offset(analysis: SurfaceAnalysis,
     e1, c1 = np.empty((3, a.n)), np.empty((3, a.n))
     transport = []
     for sl in _blocks(a.n):
-        real, dual = dual_turn(*_cols(sl, cos, cos_bar.dual, sin, sin_bar.dual,
-                                      a.e, a.e_star, a.t, a.t_star))
-        e1_b = np.divide(real, _norm(real), out=e1[:, sl])
+        e_t, t_t, _ = (x.cols(sl) for x in a.dual_frame())
+        ruling = cos_bar.cols(sl) * e_t + sin_bar.cols(sl) * t_t
+        e1_b = np.divide(ruling.real, norm3(ruling.real), out=e1[:, sl])
         c1_b = np.add(a.c[:, sl], th.dual[sl] * a.g[:, sl], out=c1[:, sl])
         # dual part of the rotated dual ruling must equal c1 x e1
-        dual -= cross3(c1_b, e1_b)
-        transport.append(np.max(_norm(dual)))
+        defect = cross3(c1_b, e1_b)
+        np.subtract(ruling.dual, defect, out=defect)
+        transport.append(np.max(norm3(defect)))
     e1.flags.writeable = c1.flags.writeable = False
 
     h = float(a.u[1] - a.u[0])
     # np.max, not max(): a NaN speed must not read as degenerate
-    sigma1_max = np.max([np.max(_norm(_fd1(e1, h, sl)))
+    sigma1_max = np.max([np.max(norm3(_fd1(e1, h, sl)))
                          for sl in _blocks(a.n)])
     if sigma1_max < DEGENERATE_SIGMA:
         raise DegenerateOffset(
@@ -246,32 +247,28 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
     n_valid = 0
 
     for sl in _blocks(a.n):
-        interior = slice(max(END_TRIM - sl.start, 0),
-                         max(a.n - END_TRIM - sl.start, 0))
+        interior = _interior(sl, a.n)
         base_ok = np.zeros(sl.stop - sl.start, dtype=bool)
         base_ok[interior] = True
         theta = th.real[sl]
         base_ok &= (theta > THETA_BAND) & (theta < np.pi - THETA_BAND)
         n_valid += np.count_nonzero(base_ok)
-        e1, e1_s, g1, g1_s = _cols(sl, off.e, off.e_star, off.g, off.g_star)
+        e1, _, g1 = (x.cols(sl) for x in off.dual_frame())
 
         # Mannheim condition: asymptotic normal of the base = central
         # normal of the recomputed offset (the interior is never empty:
         # n >= 5).
         for maxed, base_g, off_t in ((mann_real, a.g, off.t),
                                      (mann_dual, a.g_star, off.t_star)):
-            r = _norm(base_g[:, sl] - off_t[:, sl])[interior]
+            r = norm3(base_g[:, sl] - off_t[:, sl])[interior]
             if r.size:
                 maxed.append(np.max(np.abs(r)))
 
         speed_ratio = off.sigma[sl] / a.sigma[sl]
         # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
         # recomputed offset frame, against the offset's own d0
-        d0_pred = dual_turn(*_cols(sl, built.cos_bar.real, built.cos_bar.dual,
-                                   built.sin_bar.real, built.sin_bar.dual),
-                            e1, e1_s, g1, g1_s)
-        d0_rec = dual_turn(*_cols(sl, inv.cos_rho.real, inv.cos_rho.dual,
-                                  inv.R.real, inv.R.dual), e1, e1_s, g1, g1_s)
+        d0_pred = built.cos_bar.cols(sl) * e1 + built.sin_bar.cols(sl) * g1
+        d0_rec = inv.cos_rho.cols(sl) * e1 + inv.R.cols(sl) * g1
         pairs = (
             (pred.dsbar1_dsbar.real[sl], speed_ratio),
             (pred.dsbar1_dsbar.dual[sl],
@@ -283,8 +280,8 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
             (pred.R1.dual[sl], inv.R.dual[sl]),
             (pred.rho1.real[sl], inv.rho.real[sl]),
             (pred.rho1.dual[sl], inv.rho.dual[sl]),
-            (_norm(d0_pred[0] - d0_rec[0]), 0.0),
-            (_norm(d0_pred[1] - d0_rec[1]), 0.0))
+            (norm3(d0_pred.real - d0_rec.real), 0.0),
+            (norm3(d0_pred.dual - d0_rec.dual), 0.0))
         for k, (predicted, recomputed) in enumerate(pairs):
             # a guarded prediction is NaN outside its guard band
             mask = base_ok & np.isfinite(predicted)

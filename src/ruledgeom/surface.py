@@ -36,10 +36,10 @@ scipy: scipy.linalg is imported with this module; its LAPACK dgtsv solves
 the band system of an offset's or a sampled surface's spline last node
 (`offset`, sampled configs), and `analyze` and `mesh` on a builtin only
 import it.  scipy.interpolate, which brings scipy.special, optimize,
-sparse, spatial and fft with it (about 0.25 s and 23 MB), is imported on
-first use through the module __getattr__: by `verify`'s chain-rule check
-and grid_spline's fallback fits, so `analyze`, `offset` and `mesh` never
-load it.  scipy.linalg stays eager on purpose: deferring it too made
+sparse, spatial and fft with it (about 0.25 s and 23 MB), is imported
+inside the two functions that call it, `verify`'s chain-rule check and
+grid_spline's fallback fit (_fit), so `analyze`, `offset` and `mesh`
+never load it.  scipy.linalg stays eager on purpose: deferring it too made
 every job faster but moved the heap state that the benchmark's reference
 pass runs in (CHANGES.md).
 """
@@ -54,7 +54,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from .dual import (DualScalar, cross3, dual_cos, dual_div, dual_sin,
+from .dual import (DualScalar, cross3, dot3, dual_cos, dual_div, dual_sin,
                    dual_sqrt, norm3, read_only, sum3)
 from .errors import DegenerateIndicatrix
 
@@ -66,27 +66,8 @@ DIRECTOR_UNIT_TOL = 1e-9
 END_TRIM = 2
 # Samples per column block of the per-sample arithmetic (module docstring).
 BLOCK = 8192
-
-
-# scipy.interpolate's splines, imported on first use (module docstring)
-_INTERPOLANTS = ("CubicHermiteSpline", "CubicSpline")
-
-
-def _interpolant(name: str):
-    """The module attribute `name` of _INTERPOLANTS, importing
-    scipy.interpolate on the first read; an attribute already set (a
-    patched one too) is kept."""
-    if name not in globals():
-        from scipy import interpolate
-        for lazy in _INTERPOLANTS:
-            globals().setdefault(lazy, getattr(interpolate, lazy))
-    return globals()[name]
-
-
-def __getattr__(name: str):
-    if name in _INTERPOLANTS:
-        return _interpolant(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Raised for a grid with a NaN or inf sample, or a span that overflows.
+_NON_FINITE = "sample grid must be finite (no NaN, inf or overflowing span)"
 
 
 def _blocks(n: int):
@@ -96,30 +77,15 @@ def _blocks(n: int):
         yield slice(start, min(start + BLOCK, n))
 
 
+def _interior(sl: slice, n: int) -> slice:
+    """The columns of the block sl, counted from its start, that lie
+    outside the END_TRIM samples at each end of an n-sample grid."""
+    return slice(max(END_TRIM - sl.start, 0), max(n - END_TRIM - sl.start, 0))
+
+
 def _cols(sl: slice, *arrays) -> tuple:
     """The columns sl of (n,) and (3, n) arrays, as views."""
     return tuple(x[..., sl] for x in arrays)
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """dot3 of (3, w) column blocks, with the bits of the whole batch for
-    every w, one included."""
-    return sum3(u * v)
-
-
-def _norm(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """norm3 of a (3, w) column block, like _dot."""
-    return np.sqrt(sum3(u * u), out=out)
-
-
-def dual_turn(cos, cos_dual, sin, sin_dual, e, e_star, g, g_star) -> tuple:
-    """Real and dual parts of (cos + eps cos_dual) ~e + (sin + eps sin_dual)
-    ~g for the dual vectors ~e = e + eps e_star and ~g = g + eps g_star:
-    the arithmetic of the dual products and their sum, on plain arrays
-    (whole fields or column blocks).  The Darboux axis, the offset ruling
-    and the offset's predicted Darboux axis are such turns."""
-    return (cos * e + sin * g,
-            (cos * e_star + cos_dual * e) + (sin * g_star + sin_dual * g))
 
 
 @dataclass
@@ -164,7 +130,7 @@ class Reparametrization:
     def chain_rule_residual(self) -> float:
         """max |ds/du * du/ds - 1| over nodes and interval midpoints of the
         monotone Hermite maps s(u) and u(s)."""
-        hermite = _interpolant("CubicHermiteSpline")
+        from scipy.interpolate import CubicHermiteSpline as hermite
         s_of_u = hermite(self.u, self.s, self.sigma)
         u_of_s = hermite(self.s, self.u, 1.0 / self.sigma)
         probe = np.concatenate([self.u, 0.5 * (self.u[1:] + self.u[:-1])])
@@ -189,9 +155,7 @@ class DualCurvatureInvariants:
     def d0(self) -> DualScalar:
         """cos(rho) e + sin(rho) g; fields are (3, n) arrays."""
         e_t, g_t = self.frame_eg
-        return DualScalar(*dual_turn(self.cos_rho.real, self.cos_rho.dual,
-                                     self.R.real, self.R.dual,
-                                     e_t.real, e_t.dual, g_t.real, g_t.dual))
+        return self.cos_rho * e_t + self.R * g_t
 
     def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
         """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""
@@ -340,6 +304,12 @@ def _spline_last_node(u: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
     return (0.0 + y[:, -2]) + s[-2] * z + c1 * zz + c0 * (zz * z)
 
 
+def _fit(u: np.ndarray, y: np.ndarray):
+    """CubicSpline(u, y.T, axis=0); scipy.interpolate loads on first use."""
+    from scipy.interpolate import CubicSpline
+    return CubicSpline(u, y.T, axis=0)
+
+
 def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
     """The curve callable of the interpolating (not-a-knot) cubic spline
     CubicSpline(u, y.T, axis=0) through the (3, n) samples y on the grid
@@ -354,7 +324,7 @@ def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
     errors are raised here either way."""
     spline = last = None
     if len(u) < 4:
-        spline = _interpolant("CubicSpline")(u, y.T, axis=0)
+        spline = _fit(u, y)
     else:
         last = _spline_last_node(u, y)
 
@@ -362,7 +332,7 @@ def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
         nonlocal spline
         if last is None or not (x is u or np.array_equal(x, u)):
             if spline is None:
-                spline = _interpolant("CubicSpline")(u, y.T, axis=0)
+                spline = _fit(u, y)
             return spline(x)
         out = (y + 0.0).T
         out[-1] = last
@@ -448,18 +418,22 @@ def _grid_of(spec: SurfaceSpec) -> tuple[np.ndarray, float]:
         u = np.asarray(spec.grid, dtype=float)
         if len(u) < 5:
             raise ValueError("need at least 5 samples")
+        if not np.isfinite(u).all():
+            raise ValueError(_NON_FINITE)
         steps = np.diff(u)
         h = float(steps[0])
         if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * abs(h):
             raise ValueError("sample grid must be uniform and increasing")
         return u, h
-    lo, hi = spec.param_range
+    lo, hi = (float(x) for x in spec.param_range)
     n = spec.sample_count
     if n < 5 or n % 2 == 0:
         raise ValueError(
             f"sample_count must be odd and >= 5 (got {n}): the arc-length "
             "quadrature uses composite Simpson")
-    u = np.linspace(float(lo), float(hi), n)
+    if not np.isfinite(hi - lo):     # NaN, inf or an overflowing span
+        raise ValueError(_NON_FINITE)
+    u = np.linspace(lo, hi, n)
     return u, float(u[1] - u[0])
 
 
@@ -470,7 +444,7 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     n = len(u)
     e = _eval_curve(spec.director, u)
     # np.max, not max(): a NaN defect must fail the guard below
-    unit_defect = np.max([np.max(np.abs(_norm(e[:, sl]) - 1.0))
+    unit_defect = np.max([np.max(np.abs(norm3(e[:, sl]) - 1.0))
                           for sl in _blocks(n)])
     if not unit_defect <= DIRECTOR_UNIT_TOL:   # guards fail on NaN too
         raise ValueError(
@@ -482,7 +456,7 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
 
     sigma = np.empty(n)
     for sl in _blocks(n):
-        _norm(e_u[:, sl], out=sigma[sl])
+        sigma[sl] = norm3(e_u[:, sl])
     if not np.min(sigma) >= DEGENERATE_SIGMA:
         raise DegenerateIndicatrix(
             f"indicatrix speed falls to {np.min(sigma):.3e}: the director "
@@ -508,12 +482,12 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         eb, eub, euub, sig = _cols(sl, e, e_u, e_uu, sigma)
         pub = _fd1(p, h, sl) if p_u is None else p_u[:, sl]
         sig2 = sig * sig
-        pu_eu = _dot(pub, eub)
+        pu_eu = dot3(pub, eub)
         lam = -pu_eu / sig2
         np.add(p[:, sl], lam * eb, out=c[:, sl])
         if analytic:
-            sig_u = _dot(eub, euub) / sig
-            lam_u = (-(_dot(p_uu[:, sl], eub) + _dot(pub, euub)) / sig2
+            sig_u = dot3(eub, euub) / sig
+            lam_u = (-(dot3(p_uu[:, sl], eub) + dot3(pub, euub)) / sig2
                      + 2.0 * pu_eu * sig_u / (sig2 * sig))
             np.add(pub + lam_u * eb, lam * eub, out=c_u[:, sl])
 
@@ -525,10 +499,10 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         gb = cross3(eb, tb, out=g[:, sl])
         c_s = c_u[:, sl] / sig
         db, Db, gmb = _cols(sl, delta, Delta, gamma)
-        db[:] = _dot(c_s, eb)
-        Db[:] = _dot(c_s, gb)
+        db[:] = dot3(c_s, eb)
+        Db[:] = dot3(c_s, gb)
         # conical curvature: det(e, e', e'') / sigma^3
-        np.divide(_dot(cross3(eb, eub), euub), sig * sig * sig, out=gmb)
+        np.divide(dot3(cross3(eb, eub), euub), sig * sig * sig, out=gmb)
         np.subtract(db, gmb * Db, out=gamma_dual[sl])
         np.multiply(Db, sig, out=Delta_sigma[sl])
         # a NaN or inf from any oracle reaches c or gamma (checked below,
@@ -632,8 +606,7 @@ def _frame_ode_block(a: SurfaceAnalysis, h: float, sl: slice, real: list,
         a.e_u, a.e_uu)
     sigma, gamma, gamma_dual, Delta = _cols(
         sl, a.sigma, a.gamma, a.gamma_dual, a.Delta)
-    keep = slice(max(END_TRIM - sl.start, 0),
-                 max(a.n - END_TRIM - sl.start, 0))
+    keep = _interior(sl, a.n)
 
     def norm_max(x, maxima):
         """Append max |x| over the kept samples; x, (3, w), is scratch."""

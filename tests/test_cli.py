@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import interpolate
 from scipy.interpolate import PPoly
 
 from ruledgeom import catalog, offsets, surface
@@ -56,6 +57,16 @@ def test_analyze_writes_expected_table(tmp_path, capsys):
     # 17 significant digits round-trip float64 exactly
     reread = read_table(tmp_path / "analysis.csv")[1]
     assert np.array_equal(reread, data)
+
+
+def test_analyze_overflowing_param_range_exits_1(tmp_path, capsys):
+    # the grid's span overflows to inf and linspace fills it with NaN
+    cfg = write_config(tmp_path / "cfg.json",
+                       param_range=[-1.7e308, 1.7e308])
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample grid must be finite")
+    assert not (tmp_path / "analysis.csv").exists()
 
 
 def test_analyze_cone_is_developable(tmp_path):
@@ -159,6 +170,7 @@ OFFSET = {"mode": "constant_angle", "theta": np.pi / 4, "theta_star": 2 * SQ2}
     # an unhashable mode must not reach a dict lookup (TypeError)
     *[({"offsets": [{"mode": mode}]}, argv, "offsets[0].mode must be ")
       for mode in (["theorem_consistent"], {}) for argv in ([], ["mesh"])],
+    ({"seed": -1}, [], "seed must be a non-negative integer"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, overrides, argv, message):
     doc = {"surface": {"builtin": "hyperbolic_paraboloid"}, "offsets": [OFFSET]}
@@ -366,7 +378,7 @@ def test_mesh_and_the_offset_re_analysis_fit_no_spline(tmp_path):
                  {"mode": "constant_angle", "theta": 0.0,
                   "theta_star": 4 * SQ2}])
     fits, calls = [], []
-    fit, call = surface.CubicSpline, PPoly.__call__
+    fit, call = interpolate.CubicSpline, PPoly.__call__
 
     def counted(*args, **kwargs):
         fits.append(None)
@@ -376,7 +388,7 @@ def test_mesh_and_the_offset_re_analysis_fit_no_spline(tmp_path):
         calls.append(None)
         return call(self, *args, **kwargs)
 
-    with mock.patch.object(surface, "CubicSpline", counted), \
+    with mock.patch.object(interpolate, "CubicSpline", counted), \
             mock.patch.object(PPoly, "__call__", spy):
         assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path),
                      "--v-count", "3"]) == 0

@@ -8,6 +8,7 @@ from ruledgeom.dual import (DualScalar, cross3, dot3, dual_angle,
                             dual_mul, dual_norm, dual_normalize, dual_sin,
                             dual_sqrt, lift)
 from ruledgeom.errors import DomainError, PureDualDivisor, PureDualVector
+from ruledgeom.surface import BLOCK, _blocks
 
 TOL = 1e-12
 
@@ -210,6 +211,50 @@ def test_scalar_times_vector_is_the_scale_expansion_bit_for_bit():
     a, b = s.real * v.dual, s.dual * v.real
     both = np.isnan(a) & np.isnan(b) & (a.view(np.int64) != b.view(np.int64))
     assert np.any(both)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 7)])
+def test_cols_are_read_only_views_of_both_parts(shape):
+    real = np.arange(float(np.prod(shape))).reshape(shape)
+    dual = np.ones(shape)
+    x = DualScalar(real, dual)
+    block = x.cols(slice(2, 5))
+    assert isinstance(block, DualScalar)
+    for part, whole in ((block.real, real), (block.dual, dual)):
+        assert part.shape == shape[:-1] + (3,)
+        assert np.shares_memory(part, whole)
+        assert_bits(part, whole[..., 2:5])
+        assert not part.flags.writeable
+    assert real.flags.writeable     # the caller's array is left writable
+
+
+def test_a_dual_value_is_not_iterable():
+    x = DualScalar(np.zeros((3, 4)), np.zeros((3, 4)))
+    with pytest.raises(TypeError):
+        iter(x)
+    with pytest.raises(TypeError):
+        a, b, c = x
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_block_products_are_the_whole_product_bit_for_bit(n):
+    # the offset ruling cos~e + sin~t, whole and per column block
+    rng = np.random.default_rng(29)
+
+    def field(*shape):
+        x = rng.standard_normal(shape)
+        special = SPECIAL[rng.integers(0, SPECIAL.size, 20)]
+        x.flat[rng.integers(0, x.size, 20)] = special
+        return DualScalar(x, rng.standard_normal(shape))
+
+    cos, sin = field(n), field(n)
+    e, t = field(3, n), field(3, n)
+    with np.errstate(invalid="ignore"):   # 0 * inf, inf - inf
+        whole = cos * e + sin * t
+        for sl in _blocks(n):
+            block = cos.cols(sl) * e.cols(sl) + sin.cols(sl) * t.cols(sl)
+            assert_bits(block.real, whole.real[:, sl])
+            assert_bits(block.dual, whole.dual[:, sl])
 
 
 def test_angle_coincident_lines():

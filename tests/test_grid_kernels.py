@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import interpolate
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
@@ -166,13 +167,13 @@ def test_spline_input_errors_are_cubic_splines(case):
 def fits(monkeypatch):
     """The CubicSpline fits that surface makes while the test runs."""
     made = []
-    fit = surface.CubicSpline
+    fit = interpolate.CubicSpline
 
     def counted(*args, **kwargs):
         made.append(None)
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(surface, "CubicSpline", counted)
+    monkeypatch.setattr(interpolate, "CubicSpline", counted)
     return made
 
 

@@ -441,6 +441,23 @@ def test_nan_sample_fails_closed(field, error, message):
         analyze(spec)
 
 
+@pytest.mark.parametrize("grid, span", [
+    (np.nan, (0.0, 3.5)), (np.inf, (0.0, 3.5)), (None, (-1.7e308, 1.7e308))],
+    ids=["nan_grid", "inf_grid", "overflowing_param_range"])
+def test_non_finite_grid_fails_closed(grid, span):
+    # a NaN step compares False, so the uniformity guard let it pass to the
+    # unit-director check, which blamed the director
+    spec = catalog.cone(np.pi / 4, span, 201)
+    if grid is not None:
+        u = np.linspace(*span, 201)
+        u[2] = grid
+        spec = replace(spec, grid=u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^sample grid must be finite"):
+            analyze(spec)
+
+
 def test_inf_speed_sample_names_its_cause():
     # +inf passes the speed guard; past it the quadrature warned, then
     # blamed the arc length for failing to increase
