@@ -12,6 +12,7 @@ input/environment error (usage errors included), 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -37,7 +38,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args reads it and never
+    changes it, and each call fills a fresh namespace."""
     parser = _Parser(
         prog="ruledgeom",
         description="Ruled-surface analysis, Mannheim offsets, and the "

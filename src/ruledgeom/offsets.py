@@ -268,7 +268,7 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
         # recomputed offset frame, against the offset's own d0
         d0_pred = built.cos_bar.cols(sl) * e1 + built.sin_bar.cols(sl) * g1
-        d0_rec = inv.cos_rho.cols(sl) * e1 + inv.R.cols(sl) * g1
+        d0_rec = inv.d0_cols(sl)
         pairs = (
             (pred.dsbar1_dsbar.real[sl], speed_ratio),
             (pred.dsbar1_dsbar.dual[sl],

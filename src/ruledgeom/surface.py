@@ -34,14 +34,16 @@ block).  Oracles and quadrature run on the whole grid.
 
 scipy: scipy.linalg is imported with this module; its LAPACK dgtsv solves
 the band system of an offset's or a sampled surface's spline last node
-(`offset`, sampled configs), and `analyze` and `mesh` on a builtin only
-import it.  scipy.interpolate, which brings scipy.special, optimize,
-sparse, spatial and fft with it (about 0.25 s and 23 MB), is imported
-inside the two functions that call it, `verify`'s chain-rule check and
-grid_spline's fallback fit (_fit), so `analyze`, `offset` and `mesh`
-never load it.  scipy.linalg stays eager on purpose: deferring it too made
-every job faster but moved the heap state that the benchmark's reference
-pass runs in (CHANGES.md).
+(`offset`, sampled configs), and `analyze`, `mesh` and `verify` on a
+builtin only import it.  The Hermite maps of the chain-rule check and the
+last piece of a spline are formed and evaluated by two kernels here that
+repeat scipy 1.17.1's CubicHermiteSpline and PPoly arithmetic bit for bit
+(_hermite_coefficients, _ppoly_evaluate).  scipy.interpolate, which brings
+scipy.special, optimize, sparse, spatial and fft with it (about 0.25 s
+and 23 MB), is imported only inside grid_spline's fallback fit (_fit), so
+no command loads it.  scipy.linalg stays eager on purpose: deferring it
+too made every job faster but moved the heap state that the benchmark's
+reference pass runs in (CHANGES.md).
 """
 
 from __future__ import annotations
@@ -129,14 +131,16 @@ class Reparametrization:
 
     def chain_rule_residual(self) -> float:
         """max |ds/du * du/ds - 1| over nodes and interval midpoints of the
-        monotone Hermite maps s(u) and u(s)."""
-        from scipy.interpolate import CubicHermiteSpline as hermite
-        s_of_u = hermite(self.u, self.s, self.sigma)
-        u_of_s = hermite(self.s, self.u, 1.0 / self.sigma)
-        probe = np.concatenate([self.u, 0.5 * (self.u[1:] + self.u[:-1])])
-        ds_du = s_of_u.derivative()
-        du_ds = u_of_s.derivative()
-        r = ds_du(probe) * du_ds(s_of_u(probe)) - 1.0
+        monotone Hermite maps s(u) and u(s), with the bits of scipy
+        1.17.1's CubicHermiteSpline and its derivative()."""
+        u, s = self.u, self.s
+        s_of_u = _hermite_coefficients(u, s, self.sigma)
+        u_of_s = _hermite_coefficients(s, u, 1.0 / self.sigma)
+        probe = np.concatenate([u, 0.5 * (u[1:] + u[:-1])])
+        ds_du = _ppoly_evaluate(u, _derivative(s_of_u), probe)
+        du_ds = _ppoly_evaluate(s, _derivative(u_of_s),
+                                _ppoly_evaluate(u, s_of_u, probe))
+        r = ds_du * du_ds - 1.0
         return float(np.max(np.abs(r)))
 
 
@@ -154,8 +158,14 @@ class DualCurvatureInvariants:
     @functools.cached_property
     def d0(self) -> DualScalar:
         """cos(rho) e + sin(rho) g; fields are (3, n) arrays."""
+        return self.d0_cols(slice(None))
+
+    def d0_cols(self, sl: slice) -> DualScalar:
+        """The columns sl of d0, formed from the columns sl of its factors
+        (a column block of d0 that never builds the whole of it)."""
         e_t, g_t = self.frame_eg
-        return self.cos_rho * e_t + self.R * g_t
+        return (self.cos_rho.cols(sl) * e_t.cols(sl)
+                + self.R.cols(sl) * g_t.cols(sl))
 
     def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
         """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""
@@ -284,24 +294,61 @@ def _spline_last_node(u: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
     cannot show that every coefficient of the spline is finite.
 
     From the slopes it forms, as CubicHermiteSpline does, the coefficients
-    of the last piece only, and evaluates that piece as PPoly does (scipy
-    1.17.1): the power sum c3 + c2 z + c1 z^2 + c0 z^3, term by term."""
+    of the last piece only, and evaluates that piece as PPoly does."""
     dx, slope, s = _not_a_knot_slopes(u, y)
-    # piece k has c3 = y_k, c2 = s_k, c1 = (slope_k - s_k)/h_k - t_k and
-    # c0 = t_k/h_k with t_k = (s_k + s_k+1 - 2 slope_k)/h_k; with every
-    # |s|, |slope| <= m and h_k >= h, every term is at most 4m, 6m/h or
-    # 4m/h^2 (np.max, not max(): a NaN slope must fail the bound)
+    # with every |s|, |slope| <= m and h_k >= h, every term of the
+    # _hermite_coefficients rows is at most 4m, 6m/h or 4m/h^2 (np.max,
+    # not max(): a NaN slope must fail the bound)
     m = float(np.max([np.max(np.abs(s)), np.max(np.abs(slope))]))
     h = float(np.min(dx))
     bound = 8.0 * m if h >= 1.0 else 8.0 * m / h / h
     if not bound < np.inf:   # NaN fails too
         return None
-    h_last = dx[-1:]
-    t = (s[-2] + s[-1] - 2 * slope[:, -1]) / h_last
-    c0, c1 = t / h_last, (slope[:, -1] - s[-2]) / h_last - t
-    z = u[-1] - u[-2]
-    zz = z * z
-    return (0.0 + y[:, -2]) + s[-2] * z + c1 * zz + c0 * (zz * z)
+    last = slice(-2, None)
+    return _ppoly_evaluate(
+        u[last], _hermite_coefficients(u[last], y[:, last], s[last].T), u[-1])
+
+
+def _hermite_coefficients(x: np.ndarray, y: np.ndarray,
+                          dydx: np.ndarray) -> tuple:
+    """The coefficient rows (c0, c1, c2, c3) of CubicHermiteSpline(x, y,
+    dydx, axis=-1) for (n,) or (3, n) y and dydx, with its input errors
+    (scipy 1.17.1): piece k has c0 = t_k/h_k, c1 = (slope_k - dydx_k)/h_k
+    - t_k, c2 = dydx_k and c3 = y_k, with t_k = (dydx_k + dydx_k+1
+    - 2 slope_k)/h_k; each row holds the n - 1 pieces on its last axis."""
+    if len(x) < 2:
+        raise ValueError("`x` must contain at least 2 elements.")
+    for name, v in (("x", x), ("y", y), ("dydx", dydx)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"`{name}` must contain only finite values.")
+    h = np.diff(x)
+    if np.any(h <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    slope = np.diff(y) / h
+    left = dydx[..., :-1]
+    t = (left + dydx[..., 1:] - 2 * slope) / h
+    return t / h, (slope - left) / h - t, left, y[..., :-1]
+
+
+def _derivative(c: tuple) -> tuple:
+    """The coefficient rows of PPoly(c, x).derivative(): every row but the
+    last times its power."""
+    return tuple(row * (len(c) - 1 - k) for k, row in enumerate(c[:-1]))
+
+
+def _ppoly_evaluate(x: np.ndarray, c: tuple, xp) -> np.ndarray:
+    """PPoly(c, x)(xp) for coefficient rows c, highest power first, on the
+    breakpoints x, extrapolating (scipy 1.17.1).  xp reads the piece i with
+    x_i <= xp < x_i+1, the last piece closed, and points outside [x_0,
+    x_-1] read the end pieces; the piece is the power sum 0.0 + c[-1] +
+    c[-2] z + c[-3] z^2 + ... at z = xp - x_i, term by term."""
+    i = np.clip(np.searchsorted(x, xp, side="right") - 1, 0, len(x) - 2)
+    z = xp - x[i]
+    out, power = 0.0 + c[-1][..., i], 1.0
+    for row in c[-2::-1]:
+        power = power * z
+        out = out + row[..., i] * power
+    return out
 
 
 def _fit(u: np.ndarray, y: np.ndarray):

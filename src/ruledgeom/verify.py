@@ -58,6 +58,12 @@ SADDLE = ("hyperbolic_paraboloid", (-1.0, 1.0), 2001)
 THEOREM_CONE = ("cone", np.pi / 4.0, (0.0, 2.5 / np.sin(np.pi / 4.0)), 2001)
 THEOREM_HYPERBOLOID = ("small_circle", np.pi / 6.0, 1.0,
                        (0.0, 2.5 / np.sin(np.pi / 6.0)), 2001)
+# the labelled analyses of the pipeline-properties suite
+PIPELINE_CASES = (
+    ("saddle", SADDLE),
+    ("cone", ("cone", np.pi / 4.0, (0.0, 3.0), 2001)),
+    ("hyperboloid", ("small_circle", np.pi / 6.0, 1.0, (0.0, 5.0), 2001)),
+    ("helicoid", ("helicoid", 0.4, (0.0, 2.0 * np.pi), 2001)))
 
 
 def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
@@ -296,12 +302,7 @@ def suite_pipeline(tol, seed, analyses) -> list[Check]:
     (no-oracle) path, and invariance of the analysis under moving the
     base curve along the rulings."""
     out = []
-    for label, key in [
-            ("saddle", SADDLE),
-            ("cone", ("cone", np.pi / 4.0, (0.0, 3.0), 2001)),
-            ("hyperboloid", ("small_circle", np.pi / 6.0, 1.0, (0.0, 5.0),
-                             2001)),
-            ("helicoid", ("helicoid", 0.4, (0.0, 2.0 * np.pi), 2001))]:
+    for label, key in PIPELINE_CASES:
         out.extend(_pipeline_checks(label, analyses[key], tol,
                                     tol.frame_ode_analytic))
 

@@ -9,7 +9,7 @@ import pytest
 from scipy import interpolate
 from scipy.interpolate import PPoly
 
-from ruledgeom import catalog, offsets, surface
+from ruledgeom import catalog, cli, offsets, surface
 from ruledgeom.cli import main
 from ruledgeom.io import ANALYSIS_COLUMNS, read_sampled_csv
 from ruledgeom.errors import ConfigError
@@ -130,6 +130,22 @@ def test_help_exits_0(capsys):
         main(["offset", "--help"])
     assert exc.value.code == 0
     assert "--tolerance" in capsys.readouterr().out
+
+
+def test_main_calls_share_the_parser_and_no_state(tmp_path, monkeypatch):
+    """The parser is built once per process; every main() call parses into
+    a fresh namespace, so no option of one call reaches the next."""
+    seen = []
+    for name in ("cmd_verify", "cmd_mesh"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    cfg = str(write_config(tmp_path / "cfg.json"))
+    for argv in (["verify", "--tolerance", "chain_rule=1e-3"], ["verify"],
+                 ["mesh", "--config", cfg, "--v-range", "-1", "3"],
+                 ["mesh", "--config", cfg]):
+        assert main(argv) == 0
+    assert [args.tolerance for args in seen[:2]] == [["chain_rule=1e-3"], []]
+    assert [args.v_range for args in seen[2:]] == [[-1.0, 3.0], [-2.0, 2.0]]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_explicit_out_overrides_config_out_dir(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
 """The grid kernels of surface.py against the scipy calls they replace,
-bit for bit: `simpson_integrator` against `cumulative_simpson`, and the
-slopes and last node of `grid_spline` against `CubicSpline`.  The byte
-pins hold for the pinned scipy (1.17.1), whose arithmetic the kernels
-repeat."""
+bit for bit: `simpson_integrator` against `cumulative_simpson`, the
+slopes and last node of `grid_spline` against `CubicSpline`, and the
+Hermite coefficients and PPoly evaluation of the chain-rule check against
+`CubicHermiteSpline` and its `derivative()`.  The byte pins hold for the
+pinned scipy (1.17.1), whose arithmetic the kernels repeat."""
 
 import math
 
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 from scipy import interpolate
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from ruledgeom import catalog, io, surface
+from ruledgeom import catalog, io, surface, verify
 from ruledgeom.offsets import OffsetSpec, construct_offset
-from ruledgeom.surface import (analyze, grid_spline, sampled_surface,
-                               simpson_integrator)
+from ruledgeom.surface import (Reparametrization, analyze, grid_spline,
+                               sampled_surface, simpson_integrator)
 
 SQ2 = math.sqrt(2.0)
 N_LARGE = 200001
@@ -160,6 +161,111 @@ def test_spline_input_errors_are_cubic_splines(case):
         CubicSpline(u, y.T, axis=0)
     with pytest.raises(ValueError) as got:
         grid_spline(u, y)       # at construction, not at the first call
+    assert str(got.value) == str(want.value)
+
+
+def hexes(x):
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+def hermite_probes(x):
+    """The nodes, the interval midpoints, both ends again, and points just
+    and far outside [x_0, x_-1]."""
+    span = x[-1] - x[0]
+    outside = [x[0] - span, np.nextafter(x[0], -np.inf),
+               np.nextafter(x[-1], np.inf), x[-1] + 0.5 * span]
+    return np.concatenate([x, 0.5 * (x[1:] + x[:-1]), x[[0, -1]], outside])
+
+
+def check_hermite(x, y, dydx):
+    """The Hermite coefficients, and the values and first derivatives of
+    the kernel's PPoly at hermite_probes(x), as float.hex of scipy's."""
+    spline = CubicHermiteSpline(x, y, dydx, axis=-1)
+    rows = surface._hermite_coefficients(x, y, dydx)
+    assert len(rows) == 4
+    for got, want in zip(rows, spline.c):
+        assert hexes(got) == hexes(np.moveaxis(want, 0, -1))
+    probe = hermite_probes(x)
+    for got, want in ((rows, spline), (surface._derivative(rows),
+                                       spline.derivative())):
+        assert hexes(surface._ppoly_evaluate(x, got, probe)) == hexes(
+            want(probe))
+
+
+def scipy_chain_rule_residual(r: Reparametrization) -> float:
+    """chain_rule_residual through CubicHermiteSpline and PPoly."""
+    s_of_u = CubicHermiteSpline(r.u, r.s, r.sigma)
+    u_of_s = CubicHermiteSpline(r.s, r.u, 1.0 / r.sigma)
+    probe = np.concatenate([r.u, 0.5 * (r.u[1:] + r.u[:-1])])
+    res = s_of_u.derivative()(probe) * u_of_s.derivative()(s_of_u(probe))
+    return float(np.max(np.abs(res - 1.0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 100, 2001])
+def test_hermite_kernel_matches_cubic_hermite_spline(n):
+    rng = np.random.default_rng(n)
+    _, cumulative, geometric = grids(n, rng)
+    for x in (cumulative, geometric, -geometric[::-1]):
+        for shape in ((n,), (3, n)):
+            smooth = np.cos(np.broadcast_to(x, shape) * 0.3)
+            signed_zero = rng.standard_normal(shape)
+            signed_zero[..., ::3] = -0.0
+            for y in (smooth, rng.standard_normal(shape), signed_zero):
+                check_hermite(x, y, rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("label,key", verify.PIPELINE_CASES
+                         + (("theorem cone", verify.THEOREM_CONE),
+                            ("theorem hyperboloid",
+                             verify.THEOREM_HYPERBOLOID)))
+def test_chain_rule_residual_matches_scipy_on_the_verify_analyses(label, key):
+    name, *args = key
+    r = analyze(getattr(catalog, name)(*args)).reparam
+    check_hermite(r.u, r.s, r.sigma)
+    check_hermite(r.s, r.u, 1.0 / r.sigma)
+    assert (r.chain_rule_residual().hex()
+            == scipy_chain_rule_residual(r).hex())
+
+
+@pytest.mark.parametrize("case", ["nan_x", "inf_y", "nan_dydx", "inf_dydx",
+                                  "repeated_x", "decreasing_x", "one_node"])
+def test_hermite_input_errors_are_cubic_hermite_splines(case):
+    n = 1 if case == "one_node" else 9
+    x = np.linspace(0.0, 1.0, n)
+    y, dydx = np.sin(x), np.cos(x)
+    if case == "nan_x":
+        x[4] = np.nan
+    elif case == "inf_y":
+        y[-1] = np.inf
+    elif case == "nan_dydx":
+        dydx[0] = np.nan
+    elif case == "inf_dydx":
+        dydx[3] = -np.inf
+    elif case == "repeated_x":
+        x[5] = x[4]
+    elif case == "decreasing_x":
+        x = x[::-1].copy()
+    with pytest.raises(ValueError) as want:
+        CubicHermiteSpline(x, y, dydx)
+    with pytest.raises(ValueError) as got:
+        surface._hermite_coefficients(x, y, dydx)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("case", ["nan_sigma", "zero_sigma", "flat_s"])
+def test_chain_rule_residual_raises_instead_of_reading_nan(case):
+    u = np.linspace(0.0, 1.0, 9)
+    s, sigma = 2.0 * u, np.full(9, 2.0)
+    if case == "nan_sigma":
+        sigma[4] = np.nan
+    elif case == "zero_sigma":      # du/ds = 1/sigma is infinite
+        sigma[4] = 0.0
+    else:
+        s[5] = s[4]
+    with pytest.raises(ValueError) as want, np.errstate(divide="ignore"):
+        scipy_chain_rule_residual(Reparametrization(u, s, sigma))
+    with pytest.raises(ValueError) as got, np.errstate(divide="ignore"):
+        Reparametrization(u, s, sigma).chain_rule_residual()
     assert str(got.value) == str(want.value)
 
 
