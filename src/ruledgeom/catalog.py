@@ -46,19 +46,33 @@ def _trig_oracles():
 
 def _unit_normalized(raw, raw_d1, raw_d2):
     """Normalize a raw space curve to a unit field; returns (fn, d1, d2),
-    the field and its chain-rule derivatives."""
+    the field and its chain-rule derivatives.  Each refuses a grid on
+    which |raw| ** 5, the highest power of |raw| that d2 divides by,
+    overflows, with a ValueError that says so, before it forms anything
+    from that norm."""
+    def norm(r):
+        with np.errstate(over="ignore"):
+            rho = norm3(r)
+            top = np.max(rho) ** 5
+        if not top < np.inf:
+            raise ValueError(
+                "the normalized director overflows on the sample grid: "
+                f"|raw director| reaches {np.max(rho):.3e}, and its 5th "
+                "power exceeds the float range; shrink param_range")
+        return rho
+
     def fn(u):
         r = raw(u).T
-        return (r / norm3(r)).T
+        return (r / norm(r)).T
 
     def d1(u):
         r, r1 = raw(u).T, raw_d1(u).T
-        rho = norm3(r)
+        rho = norm(r)
         return (r1 / rho - r * dot3(r, r1) / rho ** 3).T
 
     def d2(u):
         r, r1, r2 = raw(u).T, raw_d1(u).T, raw_d2(u).T
-        rho = norm3(r)
+        rho = norm(r)
         rr1 = dot3(r, r1)
         return (r2 / rho
                 - (2.0 * r1 * rr1 + r * (dot3(r1, r1) + dot3(r, r2)))

@@ -6,7 +6,8 @@
     ruledgeom verify  [--config cfg.json] [--tolerance k=v ...]
 
 --out defaults to the config's out_dir.  Exit codes: 0 success, 1
-input/environment error (usage errors included), 2 verification failure.
+input/environment error (usage errors included, and inputs whose numerics
+overflow the float range), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import RunConfig, finite_number
 from .errors import RuledGeomError
@@ -160,7 +163,13 @@ def main(argv=None) -> int:
     handler = {"analyze": cmd_analyze, "offset": cmd_offset,
                "mesh": cmd_mesh, "verify": cmd_verify}[args.command]
     try:
-        return handler(args)
+        # an overflow would leave inf in place of a number: fail closed
+        with np.errstate(over="raise"):
+            return handler(args)
+    except FloatingPointError as exc:
+        print(f"error: {exc}: the run's magnitudes leave the float range",
+              file=sys.stderr)
+        return EXIT_INPUT
     except (RuledGeomError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

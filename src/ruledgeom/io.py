@@ -254,10 +254,15 @@ def _format_rows(cells: np.ndarray, head: bytes, sep: bytes) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
+def _rows_per_write(width: int) -> int:
+    """Rows formatted per write of a table `width` cells wide."""
+    return min(BLOCK_ROWS, max(1, BLOCK_CELLS // width))
+
+
 def _write_table(fh, table: np.ndarray, head: bytes, sep: bytes) -> None:
     """Write the rows of a 2-D float array, a few thousand cells at a time
     (see _format_rows)."""
-    step = min(BLOCK_ROWS, max(1, BLOCK_CELLS // table.shape[1]))
+    step = _rows_per_write(table.shape[1])
     for start in range(0, len(table), step):
         fh.write(_format_rows(table[start:start + step], head, sep))
 
@@ -265,16 +270,20 @@ def _write_table(fh, table: np.ndarray, head: bytes, sep: bytes) -> None:
 def write_analysis_csv(path, analysis: SurfaceAnalysis,
                        inv: DualCurvatureInvariants) -> None:
     """One row per sample with the frame, scalar invariants and the dual
-    curvature columns, taken from `inv`, the analysis's invariants()."""
-    cols = np.vstack([
-        analysis.u, analysis.s, analysis.s_star,
-        analysis.c, analysis.e, analysis.t, analysis.g,
-        analysis.Delta, analysis.delta, analysis.gamma, analysis.gamma_dual,
-        inv.R.real, inv.R.dual, inv.rho.real, inv.rho.dual,
-    ]).T
+    curvature columns, taken from `inv`, the analysis's invariants().  The
+    cells of each write are gathered from the column arrays (no whole
+    table is built)."""
+    a, n = analysis, len(analysis.u)
+    columns = [np.reshape(x, (-1, n)) for x in (   # (1, n) and (3, n)
+        a.u, a.s, a.s_star, a.c, a.e, a.t, a.g,
+        a.Delta, a.delta, a.gamma, a.gamma_dual,
+        inv.R.real, inv.R.dual, inv.rho.real, inv.rho.dual)]
+    step = _rows_per_write(len(ANALYSIS_COLUMNS))
     with open(path, "wb") as fh:
         fh.write((",".join(ANALYSIS_COLUMNS) + "\n").encode())
-        _write_table(fh, cols, b"", b",")
+        for start in range(0, n, step):
+            cells = np.vstack([x[:, start:start + step] for x in columns])
+            fh.write(_format_rows(cells.T, b"", b","))
 
 
 def read_sampled_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

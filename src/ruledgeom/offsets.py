@@ -114,7 +114,7 @@ def construct_offset(analysis: SurfaceAnalysis,
     e1, c1 = np.empty((3, a.n)), np.empty((3, a.n))
     transport = []
     for sl in _blocks(a.n):
-        e_t, t_t, _ = (x.cols(sl) for x in a.dual_frame())
+        e_t, t_t, _ = a.dual_frame(sl)
         ruling = cos_bar.cols(sl) * e_t + sin_bar.cols(sl) * t_t
         e1_b = np.divide(ruling.real, norm3(ruling.real), out=e1[:, sl])
         c1_b = np.add(a.c[:, sl], th.dual[sl] * a.g[:, sl], out=c1[:, sl])
@@ -124,9 +124,8 @@ def construct_offset(analysis: SurfaceAnalysis,
         transport.append(np.max(norm3(defect)))
     e1.flags.writeable = c1.flags.writeable = False
 
-    h = float(a.u[1] - a.u[0])
     # np.max, not max(): a NaN speed must not read as degenerate
-    sigma1_max = np.max([np.max(norm3(_fd1(e1, h, sl)))
+    sigma1_max = np.max([np.max(norm3(_fd1(e1, a.h, sl)))
                          for sl in _blocks(a.n)])
     if sigma1_max < DEGENERATE_SIGMA:
         raise DegenerateOffset(
@@ -253,14 +252,19 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         theta = th.real[sl]
         base_ok &= (theta > THETA_BAND) & (theta < np.pi - THETA_BAND)
         n_valid += np.count_nonzero(base_ok)
-        e1, _, g1 = (x.cols(sl) for x in off.dual_frame())
+        # the offset's dual frame on the block, formed once for the
+        # Mannheim rows and both sides of the Darboux axis
+        frame = off.dual_frame(sl)
+        e1, t1, g1 = frame
 
         # Mannheim condition: asymptotic normal of the base = central
         # normal of the recomputed offset (the interior is never empty:
         # n >= 5).
-        for maxed, base_g, off_t in ((mann_real, a.g, off.t),
-                                     (mann_dual, a.g_star, off.t_star)):
-            r = norm3(base_g[:, sl] - off_t[:, sl])[interior]
+        base_g = a.dual_frame(sl)[2]
+        for maxed, base_part, off_part in (
+                (mann_real, base_g.real, t1.real),
+                (mann_dual, base_g.dual, t1.dual)):
+            r = norm3(base_part - off_part)[interior]
             if r.size:
                 maxed.append(np.max(np.abs(r)))
 
@@ -268,7 +272,7 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
         # recomputed offset frame, against the offset's own d0
         d0_pred = built.cos_bar.cols(sl) * e1 + built.sin_bar.cols(sl) * g1
-        d0_rec = inv.d0_cols(sl)
+        d0_rec = inv.d0_cols(sl, frame)
         pairs = (
             (pred.dsbar1_dsbar.real[sl], speed_ratio),
             (pred.dsbar1_dsbar.dual[sl],

@@ -22,8 +22,18 @@ Derivatives come from analytic oracles when the spec provides them and
 from second-order central differences on the grid otherwise; endpoint
 samples use one-sided stencils and are excluded from residual claims.
 
-The per-sample arithmetic (the grid differences, striction curve, frame,
-invariants and moments of `analyze`, all of `frame_ode_residual`, and in
+A SurfaceAnalysis stores the sampled fields (u, s, s*, sigma, c, e, t, g),
+the four scalar invariants and the derivatives that an oracle or the
+analytic striction formula produced.  Everything else is formed for the
+columns a reader asks for: the moments c x e, c x t and c x g of the dual
+frame (dual_frame(sl)), and every derivative without an oracle
+(_grid_derivative: grid differences of e or c on the block and the halo its
+stencils read).  Each formed element goes through the same ufuncs as the
+whole-grid form, so a block of it, or the whole field read as e_star,
+e_u, ..., has the bits of the arrays that used to be stored.
+
+The per-sample arithmetic (the grid differences, striction curve, frame
+and invariants of `analyze`, all of `frame_ode_residual`, and in
 offsets.py the offset construction and comparison rows) runs in column
 blocks of BLOCK samples, whose (3, BLOCK) temporaries stay in a 2-MB L2
 cache; results go into the full arrays, and block maxima and counts are
@@ -49,7 +59,7 @@ reference pass runs in (CHANGES.md).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,7 +96,10 @@ def _interior(sl: slice, n: int) -> slice:
 
 
 def _cols(sl: slice, *arrays) -> tuple:
-    """The columns sl of (n,) and (3, n) arrays, as views."""
+    """The columns sl of (n,) and (3, n) arrays, as views (the arrays
+    themselves for slice(None), the whole grid)."""
+    if sl == slice(None):
+        return arrays
     return tuple(x[..., sl] for x in arrays)
 
 
@@ -148,24 +161,30 @@ class Reparametrization:
 class DualCurvatureInvariants:
     """Per-sample dual curvature R, dual spherical radius of curvature rho,
     and the unit vector d0 along the dual Darboux axis, built on first
-    read from cos(rho) and the dual frame's e and g."""
+    read from cos(rho) and the dual frame of the analysis."""
 
     R: DualScalar        # fields are (n,) arrays; R = sin(rho)
     rho: DualScalar      # fields are (n,) arrays
     cos_rho: DualScalar = field(repr=False)
-    frame_eg: tuple[DualScalar, DualScalar] = field(repr=False)
+    analysis: SurfaceAnalysis = field(repr=False)
+
+    @property
+    def frame_eg(self) -> tuple[DualScalar, DualScalar]:
+        """The dual frame's e and g on the whole grid."""
+        e_t, _, g_t = self.analysis.dual_frame()
+        return e_t, g_t
 
     @functools.cached_property
     def d0(self) -> DualScalar:
         """cos(rho) e + sin(rho) g; fields are (3, n) arrays."""
         return self.d0_cols(slice(None))
 
-    def d0_cols(self, sl: slice) -> DualScalar:
+    def d0_cols(self, sl: slice, frame: Optional[tuple] = None) -> DualScalar:
         """The columns sl of d0, formed from the columns sl of its factors
-        (a column block of d0 that never builds the whole of it)."""
-        e_t, g_t = self.frame_eg
-        return (self.cos_rho.cols(sl) * e_t.cols(sl)
-                + self.R.cols(sl) * g_t.cols(sl))
+        (a column block of d0 that never builds the whole of it); frame is
+        the analysis's dual_frame(sl) when the caller has formed it."""
+        e_t, _, g_t = self.analysis.dual_frame(sl) if frame is None else frame
+        return self.cos_rho.cols(sl) * e_t + self.R.cols(sl) * g_t
 
     def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
         """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""
@@ -178,11 +197,45 @@ class DualCurvatureInvariants:
             (cot_rho.real, gamma_bar.real), (cot_rho.dual, gamma_bar.dual))]))
 
 
+class _Formed:
+    """A (3, n) field of SurfaceAnalysis that is read whole but formed,
+    block by block, on each read (SurfaceAnalysis._form), unless the
+    analysis holds it: a derivative that an oracle or the analytic
+    striction formula produced.  As a dataclass default it means "not
+    held"."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, a, owner=None):
+        if a is None:
+            return self
+        held = vars(a).get(self.name)
+        return a._form(self.name) if held is None else held
+
+    def __set__(self, a, value):
+        vars(a)[self.name] = (None if value is None or value is self
+                              else read_only(value))
+
+
+# each derivative field: the sampled field it differentiates, and the held
+# derivatives that _grid_derivative reads for it, lowest order first
+_DERIVATIVES = {"e_u": ("e", ("e_u",)), "e_uu": ("e", ("e_u", "e_uu")),
+                "c_u": ("c", ("c_u",))}
+
+
 @dataclass(frozen=True)
 class SurfaceAnalysis:
     """Full per-sample state of an analyzed ruled surface (immutable: every
     array field is a read-only view).  Scalar fields are (n,) arrays;
-    vector fields are C-contiguous (3, n) arrays, one row per component."""
+    vector fields are C-contiguous (3, n) arrays, one row per component.
+
+    It stores the sampled fields, the scalar invariants and the derivatives
+    that an oracle or the analytic striction formula produced (e_u, e_uu,
+    c_u; None where none did).  The moments e_star, t_star and g_star and
+    the derivatives it does not hold are formed, whole, on each read, with
+    the bits of the block forms that dual_frame(sl) and derivative(name,
+    sl) give (module docstring)."""
 
     spec: SurfaceSpec
     u: np.ndarray
@@ -193,40 +246,64 @@ class SurfaceAnalysis:
     e: np.ndarray
     t: np.ndarray
     g: np.ndarray
-    # moments c x e, c x t, c x g about the striction curve: the dual parts
-    # of the dual Darboux frame
-    e_star: np.ndarray
-    t_star: np.ndarray
-    g_star: np.ndarray
     Delta: np.ndarray
     delta: np.ndarray
     gamma: np.ndarray
     gamma_dual: np.ndarray
     reparam: Reparametrization
-    # raw derivative arrays kept for residual diagnostics
-    e_u: np.ndarray = field(repr=False, default=None)
-    e_uu: np.ndarray = field(repr=False, default=None)
-    c_u: np.ndarray = field(repr=False, default=None)
+    # moments c x e, c x t, c x g about the striction curve: the dual parts
+    # of the dual Darboux frame
+    e_star: np.ndarray = field(default=_Formed(), init=False, repr=False,
+                               compare=False)
+    t_star: np.ndarray = field(default=_Formed(), init=False, repr=False,
+                               compare=False)
+    g_star: np.ndarray = field(default=_Formed(), init=False, repr=False,
+                               compare=False)
+    # derivative arrays, for the frame and the residual diagnostics
+    e_u: np.ndarray = field(default=_Formed(), repr=False, compare=False)
+    e_uu: np.ndarray = field(default=_Formed(), repr=False, compare=False)
+    c_u: np.ndarray = field(default=_Formed(), repr=False, compare=False)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in list(vars(self).items()):
             if isinstance(value, np.ndarray):
-                object.__setattr__(self, f.name, read_only(value))
+                object.__setattr__(self, name, read_only(value))
 
     @property
     def n(self) -> int:
         return len(self.u)
 
+    @property
+    def h(self) -> float:
+        """The grid step."""
+        return float(self.u[1] - self.u[0])
+
     def gamma_bar(self) -> DualScalar:
         return DualScalar(self.gamma, self.gamma_dual)
 
-    def dual_frame(self) -> tuple[DualScalar, DualScalar, DualScalar]:
-        """Dual Darboux frame: e, t, g with moments taken about the
-        striction curve."""
-        return (DualScalar(self.e, self.e_star),
-                DualScalar(self.t, self.t_star),
-                DualScalar(self.g, self.g_star))
+    def dual_frame(self, sl: slice = slice(None)) -> tuple[
+            DualScalar, DualScalar, DualScalar]:
+        """The columns sl of the dual Darboux frame: e, t and g, with their
+        moments about the striction curve formed here, c x v for each."""
+        c, *vectors = _cols(sl, self.c, self.e, self.t, self.g)
+        return tuple(DualScalar(v, cross3(c, v)) for v in vectors)
+
+    def derivative(self, name: str, sl: slice) -> np.ndarray:
+        """The columns sl of e_u, e_uu or c_u: a view of the held array, or
+        formed from e or c (_grid_derivative)."""
+        y, chain = _DERIVATIVES[name]
+        return _grid_derivative(sl, self.h, getattr(self, y),
+                                *(vars(self)[k] for k in chain))
+
+    def _form(self, name: str) -> np.ndarray:
+        """The whole field `name` that the analysis does not hold."""
+        if name in _DERIVATIVES:
+            whole = np.empty((3, self.n))
+            for sl in _blocks(self.n):
+                whole[:, sl] = self.derivative(name, sl)
+        else:                     # a moment: e_star is c x e, ...
+            whole = cross3(self.c, getattr(self, name[0]))
+        return read_only(whole)
 
     def invariants(self) -> DualCurvatureInvariants:
         """Dual curvature invariants, computed afresh on every call."""
@@ -387,17 +464,12 @@ def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
     return curve
 
 
-def _fd1(y: np.ndarray, h: float, cols: Optional[slice] = None,
+def _fd1(y: np.ndarray, h: float, cols: slice,
          out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Second-order d/du of a (3, n) field on a uniform grid: central
-    differences, and one-sided stencils at the two ends.  With cols, only
-    the columns of that slice, written into out when given."""
+    """Second-order d/du of a (3, n) field on a uniform grid, on the
+    columns of the slice cols, written into out when given: central
+    differences, and one-sided stencils at the two ends."""
     n = y.shape[1]
-    if cols is None:
-        d = np.empty((3, n))
-        for sl in _blocks(n):
-            _fd1(y, h, sl, d[:, sl])
-        return d
     start, stop = cols.start, cols.stop
     d = np.empty((3, stop - start)) if out is None else out
     lo, hi = max(start, 1), min(stop, n - 1)
@@ -410,6 +482,23 @@ def _fd1(y: np.ndarray, h: float, cols: Optional[slice] = None,
     if stop == n:
         d[:, -1] = (3.0 * y[:, -1] - 4.0 * y[:, -2] + y[:, -3]) / (2.0 * h)
     return d
+
+
+def _grid_derivative(sl: slice, h: float, y: np.ndarray, *held) -> np.ndarray:
+    """The columns sl of the k-th u-derivative of the (3, n) field y, k =
+    len(held) (1 or 2): held[k - 1] is that derivative, and held[0] the
+    first, as an oracle gave them, or None.  A derivative without one is
+    _fd1 of the one below it; a second derivative differences the first on
+    the block and a 2-column halo, which holds every column its stencils
+    read (a block 1 column wide at the grid end reads 2 columns back), so
+    each column has the bits of _fd1 of the whole first derivative."""
+    if held[-1] is not None:
+        return held[-1][:, sl]
+    if len(held) == 1:
+        return _fd1(y, h, sl)
+    lo, hi = max(sl.start - 2, 0), min(sl.stop + 2, y.shape[1])
+    first = _grid_derivative(slice(lo, hi), h, y, *held[:-1])
+    return _fd1(first, h, slice(sl.start - lo, sl.stop - lo))
 
 
 def _simpson_weights(x21: np.ndarray, x32: np.ndarray) -> tuple:
@@ -496,14 +585,13 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     if not unit_defect <= DIRECTOR_UNIT_TOL:   # guards fail on NaN too
         raise ValueError(
             f"director is not a unit field (max defect {unit_defect:.3e})")
-    e_u = (_eval_curve(spec.director_d1, u) if spec.director_d1 is not None
-           else _fd1(e, h))
-    e_uu = (_eval_curve(spec.director_d2, u) if spec.director_d2 is not None
-            else _fd1(e_u, h))
+    # derivatives without an oracle are formed per block (_grid_derivative)
+    e_u, e_uu = (None if fn is None else _eval_curve(fn, u)
+                 for fn in (spec.director_d1, spec.director_d2))
 
     sigma = np.empty(n)
     for sl in _blocks(n):
-        sigma[sl] = norm3(e_u[:, sl])
+        sigma[sl] = norm3(_grid_derivative(sl, h, e, e_u))
     if not np.min(sigma) >= DEGENERATE_SIGMA:
         raise DegenerateIndicatrix(
             f"indicatrix speed falls to {np.min(sigma):.3e}: the director "
@@ -512,12 +600,11 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         raise ValueError("surface oracles returned non-finite samples")
 
     p = _eval_curve(spec.base, u)
-    # without an oracle, p_u is differenced per block (striction below)
     p_u = _eval_curve(spec.base_d1, u) if spec.base_d1 is not None else None
     analytic = spec.has_analytic_frame
     p_uu = _eval_curve(spec.base_d2, u) if analytic else None
 
-    c, t, g, e_star, t_star, g_star = (np.empty((3, n)) for _ in range(6))
+    c, t, g = (np.empty((3, n)) for _ in range(3))
     c_u = np.empty((3, n)) if analytic else None
     delta, Delta, gamma, gamma_dual, Delta_sigma = (
         np.empty(n) for _ in range(5))
@@ -526,25 +613,29 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     def striction(sl):
         """c = p + lam e with lam = -<p', e'>/sigma^2, and its analytic
         derivative c_u when the oracles give one."""
-        eb, eub, euub, sig = _cols(sl, e, e_u, e_uu, sigma)
-        pub = _fd1(p, h, sl) if p_u is None else p_u[:, sl]
+        eb, sig = _cols(sl, e, sigma)
+        eub = _grid_derivative(sl, h, e, e_u)
+        pub = _grid_derivative(sl, h, p, p_u)
         sig2 = sig * sig
         pu_eu = dot3(pub, eub)
         lam = -pu_eu / sig2
         np.add(p[:, sl], lam * eb, out=c[:, sl])
         if analytic:
+            euub = e_uu[:, sl]
             sig_u = dot3(eub, euub) / sig
             lam_u = (-(dot3(p_uu[:, sl], eub) + dot3(pub, euub)) / sig2
                      + 2.0 * pu_eu * sig_u / (sig2 * sig))
             np.add(pub + lam_u * eb, lam * eub, out=c_u[:, sl])
 
     def frame(sl):
-        """t = de/ds, g = e x t, the invariants and the moments about c."""
+        """t = de/ds, g = e x t and the invariants."""
         nonlocal finite
-        eb, eub, euub, cb, sig = _cols(sl, e, e_u, e_uu, c, sigma)
+        eb, cb, sig = _cols(sl, e, c, sigma)
+        eub = _grid_derivative(sl, h, e, e_u)
+        euub = _grid_derivative(sl, h, e, e_u, e_uu)
         tb = np.divide(eub, sig, out=t[:, sl])
         gb = cross3(eb, tb, out=g[:, sl])
-        c_s = c_u[:, sl] / sig
+        c_s = _grid_derivative(sl, h, c, c_u) / sig
         db, Db, gmb = _cols(sl, delta, Delta, gamma)
         db[:] = dot3(c_s, eb)
         Db[:] = dot3(c_s, gb)
@@ -553,20 +644,17 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         np.subtract(db, gmb * Db, out=gamma_dual[sl])
         np.multiply(Db, sig, out=Delta_sigma[sl])
         # a NaN or inf from any oracle reaches c or gamma (checked below,
-        # after the arc length); the moments of such a block are not formed
+        # after the arc length)
         finite = finite and np.isfinite(cb).all() and np.isfinite(gmb).all()
-        if finite:
-            for vec, moment in ((eb, e_star), (tb, t_star), (gb, g_star)):
-                cross3(cb, vec, out=moment[:, sl])
 
     if analytic:
         for sl in _blocks(n):
             striction(sl)
             frame(sl)
     else:
+        # c_u is differenced from c, so every block of c comes first
         for sl in _blocks(n):
             striction(sl)
-        c_u = _fd1(c, h)
         for sl in _blocks(n):
             frame(sl)
 
@@ -581,7 +669,6 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
 
     return SurfaceAnalysis(
         spec=spec, u=u, s=s, s_star=s_star, sigma=sigma, c=c, e=e, t=t, g=g,
-        e_star=e_star, t_star=t_star, g_star=g_star,
         Delta=Delta, delta=delta, gamma=gamma, gamma_dual=gamma_dual,
         reparam=Reparametrization(u, s, sigma),
         e_u=e_u, e_uu=e_uu, c_u=c_u)
@@ -599,9 +686,8 @@ def dual_invariants(analysis: SurfaceAnalysis) -> DualCurvatureInvariants:
     # cos^2 + sin^2 = 1 as a dual identity, so the atan2 pushforward is exact
     rho_star = np.cos(rho) * sin_rho.dual - np.sin(rho) * cos_rho.dual
 
-    e_t, _, g_t = analysis.dual_frame()
     return DualCurvatureInvariants(R=R, rho=DualScalar(rho, rho_star),
-                                   cos_rho=cos_rho, frame_eg=(e_t, g_t))
+                                   cos_rho=cos_rho, analysis=analysis)
 
 
 @dataclass(frozen=True)
@@ -626,10 +712,9 @@ def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
     g equations.  A NaN defect in any row reads as a NaN maximum.  Each
     column block holds three (3, BLOCK) temporaries at a time."""
     a = analysis
-    h = float(a.u[1] - a.u[0])
     real, dual, ortho = [], [], []
     for sl in _blocks(a.n):
-        _frame_ode_block(a, h, sl, real, dual, ortho)
+        _frame_ode_block(a, sl, real, dual, ortho)
     # np.max, not max(): a NaN defect must propagate
     return FrameOdeResiduals(real_max=float(np.max(real)),
                              dual_max=float(np.max(dual)),
@@ -642,17 +727,33 @@ def _add_product(y: np.ndarray, s: np.ndarray, v: np.ndarray) -> None:
         y[k] += s * v[k]
 
 
-def _frame_ode_block(a: SurfaceAnalysis, h: float, sl: slice, real: list,
+def _subtract_cross(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """y -= a x b for (3, w) arrays, with the bits of y -= cross3(a, b): a
+    third of the columns at a time, through one (3, w/3) buffer, and a row
+    at a time (an in-place ufunc on a 2-D strided view takes two
+    8192-element buffers)."""
+    w = y.shape[1]
+    step = -(-w // 3)
+    buf = np.empty((3, step))
+    for lo in range(0, w, step):
+        hi = min(lo + step, w)
+        m = cross3(a[:, lo:hi], b[:, lo:hi], out=buf[:, :hi - lo])
+        for k in range(3):
+            y[k, lo:hi] -= m[k]
+
+
+def _frame_ode_block(a: SurfaceAnalysis, sl: slice, real: list,
                      dual: list, ortho: list) -> None:
     """Append the block maxima of frame_ode_residual's rows on the columns
     sl to real, dual and ortho (the first two only from samples outside
     the END_TRIM ends).  Every temporary is written in place, in the order
-    of operations of the rows' formulas."""
-    e, t, g, e_s, t_s, g_s, c, c_u, e_u, e_uu = _cols(
-        sl, a.e, a.t, a.g, a.e_star, a.t_star, a.g_star, a.c, a.c_u,
-        a.e_u, a.e_uu)
-    sigma, gamma, gamma_dual, Delta = _cols(
-        sl, a.sigma, a.gamma, a.gamma_dual, a.Delta)
+    of operations of the rows' formulas; each moment c x v of the dual
+    frame is formed into a scratch array just before the row that reads
+    it (the e moment a third at a time: the three scratch arrays are in
+    use there)."""
+    e, t, g, c, sigma, gamma, gamma_dual, Delta = _cols(
+        sl, a.e, a.t, a.g, a.c, a.sigma, a.gamma, a.gamma_dual, a.Delta)
+    c_u = a.derivative("c_u", sl)
     keep = _interior(sl, a.n)
 
     def norm_max(x, maxima):
@@ -676,6 +777,7 @@ def _frame_ode_block(a: SurfaceAnalysis, h: float, sl: slice, real: list,
 
     analytic = a.spec.has_analytic_frame
     if analytic:
+        e_u, e_uu = a.derivative("e_u", sl), a.derivative("e_uu", sl)
         x = np.multiply(e_u, e_uu)
         sig_u = sum3(x)                        # dot3(e_u, e_uu)
         sig_u /= sigma
@@ -686,7 +788,7 @@ def _frame_ode_block(a: SurfaceAnalysis, h: float, sl: slice, real: list,
         t_u -= np.multiply(e_u, q, out=x)
         del q
     else:
-        t_u = _fd1(a.t, h, sl)
+        t_u = _fd1(a.t, a.h, sl)
         x = np.empty_like(t_u)
     y = np.empty_like(t_u)
 
@@ -698,9 +800,10 @@ def _frame_ode_block(a: SurfaceAnalysis, h: float, sl: slice, real: list,
     norm_max(x, real)
     # dual part, against gamma_bar*g~ - e~
     d_dsbar_dual(t_u, t, x, y)
+    g_s = cross3(c, g, out=y)
     np.multiply(gamma, g_s, out=y)
     _add_product(y, gamma_dual, g)
-    y -= e_s
+    _subtract_cross(y, c, e)
     x -= y
     norm_max(x, dual)
 
@@ -708,7 +811,7 @@ def _frame_ode_block(a: SurfaceAnalysis, h: float, sl: slice, real: list,
         g_u = cross3(e_u, t, out=y)
         g_u += cross3(e, t_u, out=x)
     else:
-        g_u = _fd1(a.g, h, sl, out=y)
+        g_u = _fd1(a.g, a.h, sl, out=y)
     w = t_u                                    # t_u is no longer read
     # real part, dg/ds = -gamma*t
     np.divide(g_u, sigma, out=x)
@@ -716,12 +819,13 @@ def _frame_ode_block(a: SurfaceAnalysis, h: float, sl: slice, real: list,
     norm_max(x, real)
     # dual part, against -gamma_bar*t~, whose dual part is gbar_t
     d_dsbar_dual(g_u, g, x, w)
+    t_s = cross3(c, t, out=y)                  # g_u is no longer read
     np.multiply(gamma, t_s, out=w)
     _add_product(w, gamma_dual, t)
     x += w
     norm_max(x, dual)
-    # de/ds~ = t~ (dual part)
-    d_dsbar_dual(e_u, e, x, w)
+    # de/ds~ = t~ (dual part); on the sampled path e_u is formed here
+    d_dsbar_dual(a.derivative("e_u", sl), e, x, w)
     x -= t_s
     norm_max(x, dual)
 

@@ -6,7 +6,11 @@ result is compared, at the block seams, with a full-array reference of
 the same formulas kept in this file: every analysis field as raw bytes,
 the frame-ODE maxima, the constructed offset and every OffsetReport row
 as float.hex.  At n = BLOCK + 1 the last block is one sample wide and
-lies wholly inside the END_TRIM end.
+lies wholly inside the END_TRIM end; at n = BLOCK + 1 to BLOCK + 3 it is
+narrower than the 2-column halo from which a second derivative without an
+oracle is formed (surface._grid_derivative), and BLOCK + 2 is an even n.
+tracemalloc bounds what an analysis holds and what the frame-ODE check and
+verify_offset allocate, in units of one (3, n) field.
 """
 
 import dataclasses
@@ -26,7 +30,8 @@ from ruledgeom.surface import (BLOCK, END_TRIM, _blocks, _eval_curve,
                                sampled_surface, simpson_integrator,
                                spline_surface)
 
-NS = (5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+NS = (5, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, BLOCK + 3,
+      2 * BLOCK + 1)
 U_MAX = 2.5 / np.sin(np.pi / 4)
 OFFSETS = {
     "theorem": OffsetSpec.theorem(2.8, 0.7),
@@ -292,3 +297,42 @@ def test_frame_ode_temporaries_stay_below_one_vector_field():
     finally:
         tracemalloc.stop()
     assert peak < a.e.nbytes
+
+
+# -- memory held and allocated, at n = 4 BLOCK + 1 --------------------------
+
+MEMORY_N = 4 * BLOCK + 1
+
+
+def traced(fn) -> tuple:
+    """fn()'s result, and the traced memory held after it and at its peak,
+    from a tracemalloc started just before it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_a_sampled_analysis_holds_fewer_than_8_vector_fields():
+    # u, s, s*, sigma, c, e, t, g and the four invariants: 6.3 fields; it
+    # forms its moments and grid differences when they are read
+    spec = sampled(MEMORY_N)
+    a, held, _ = traced(lambda: analyze(spec))
+    assert held < 8 * a.e.nbytes
+
+
+def test_an_oracle_analysis_holds_fewer_than_11_vector_fields():
+    # the sampled fields, e_u, e_uu, c_u and the oracles' cached cos and
+    # sin of the grid: 10.3 fields
+    spec = small_circle(MEMORY_N)
+    a, held, _ = traced(lambda: analyze(spec))
+    assert held < 11 * a.e.nbytes
+
+
+def test_verify_offset_peaks_below_20_vector_fields():
+    a = analyze(small_circle(MEMORY_N))
+    _, _, peak = traced(lambda: verify_offset(a, OFFSETS["theorem"]))
+    assert peak < 20 * a.e.nbytes

@@ -69,6 +69,42 @@ def test_analyze_overflowing_param_range_exits_1(tmp_path, capsys):
     assert not (tmp_path / "analysis.csv").exists()
 
 
+@pytest.mark.parametrize("hi", [4.476546622757236e+61,
+                                5.643803094122362e+102, 1e200])
+def test_analyze_saddle_whose_oracles_overflow_exits_1(tmp_path, capsys, hi):
+    # |r| ** 5 (and from 5.6e102 on |r| ** 3, from 1.3e154 on |r|^2)
+    # overflows: the grid is refused before any oracle divides by it
+    cfg = write_config(tmp_path / "cfg.json", param_range=[0, hi])
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the normalized director overflows on the "
+                          "sample grid")
+
+
+@pytest.mark.parametrize("command", ["analyze", "offset", "mesh"])
+def test_a_run_that_overflows_exits_1(tmp_path, capsys, command):
+    # the helicoid's base p*u overflows; a theorem offset is declared so
+    # that offset and mesh reach the surface
+    cfg = write_config(tmp_path / "cfg.json",
+                       surface={"builtin": "helicoid", "pitch": 1e308},
+                       offsets=[{"mode": "theorem_consistent", "c": 2.8,
+                                 "c_star": 0.7}])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: overflow encountered in multiply: the run's magnitudes "
+        "leave the float range\n")
+
+
+def test_offset_whose_moments_overflow_exits_1(tmp_path, capsys):
+    # a constant offset 9.5e153 along g: the squared norms of the offset's
+    # moments leave the float range in verify_offset
+    cfg = write_config(tmp_path / "cfg.json", sample_count=2001,
+                       offsets=[{"mode": "constant_angle", "theta": 0,
+                                 "theta_star": 9.480751908109176e+153}])
+    assert main(["offset", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "float range" in capsys.readouterr().err
+
+
 def test_analyze_cone_is_developable(tmp_path):
     cfg = write_config(tmp_path / "cfg.json",
                        surface={"builtin": "cone", "alpha": np.pi / 4},

@@ -4,6 +4,8 @@ Documents are built from the config schema's keys, with values that mix
 bounded integers (so no huge sample_count), floats including NaN and
 +-Infinity, booleans, null and short strings.  Every command must end in
 an exit code, never in an uncaught exception or a printed traceback.
+The number of documents comes from the hypothesis profile that
+tests/conftest.py loads (40 by default).
 """
 
 import contextlib
@@ -11,7 +13,7 @@ import dataclasses
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ruledgeom.catalog import builtin_names
@@ -73,8 +75,16 @@ DOCUMENT = st.one_of(_object({"surface": SURFACE}, **OPTIONAL),
 COMMANDS = (["analyze"], ["offset"], ["mesh", "--v-count", "3"], ["verify"])
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+# saddle ranges whose oracles overflow in |r| ** 3 and |r| ** 5
+@example(doc={"surface": {"builtin": "hyperbolic_paraboloid"},
+              "param_range": [0, 5.643803094122362e+102]})
+@example(doc={"surface": {"builtin": "hyperbolic_paraboloid"},
+              "param_range": [0, 4.476546622757236e+61]})
+# a constant offset whose moments' squared norms overflow
+@example(doc={"surface": {"builtin": "hyperbolic_paraboloid"},
+              "offsets": [{"mode": "constant_angle", "theta": 0,
+                           "theta_star": 9.480751908109176e+153}]})
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=DOCUMENT)
 def test_any_config_exits_0_1_or_2(tmp_path_factory, doc):
     work = tmp_path_factory.mktemp("fuzz")
