@@ -136,10 +136,10 @@ def cmd_mesh(args) -> int:
     analysis = analyze(cfg.build_surface())
     out = _out_dir(args, cfg)
     base_path = out / "base.obj"
+    # the grid first: a v-count too large to hold fails before face text
+    grid = surface_grid(analysis.c, analysis.e, v_range, args.v_count)
     faces = obj_faces(analysis.n, args.v_count)   # shared by every mesh
-    write_obj(base_path,
-              surface_grid(analysis.c, analysis.e, v_range, args.v_count),
-              faces)
+    write_obj(base_path, grid, faces)
     print(f"wrote {base_path}")
     for i, spec in enumerate(cfg.offsets):
         built = construct_offset(analysis, spec)
@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: {exc}: the run's magnitudes leave the float range",
               file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RuledGeomError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -312,17 +312,23 @@ def obj_faces(n_u: int, n_v: int) -> bytes:
     n = (n_u - 1) * (n_v - 1)
     blocks = []
     for start in range(0, n, BLOCK_ROWS):
-        i, j = np.divmod(np.arange(start, min(start + BLOCK_ROWS, n),
-                                   dtype=_U64), n_v - 1)
+        i, j = np.divmod(np.arange(start, min(start + BLOCK_ROWS, n)),
+                         n_v - 1)
         a = i * n_v + j + 1
-        digits = _uint_words(np.stack([a, a + n_v, a + n_v + 1, a + 1], 1))
+        # corners a, a + 1 lie in [lo, lo + m), a + n_v, a + n_v + 1 in
+        # [lo + n_v, lo + n_v + m): format each index of the union once
+        lo, m = a[0], a[-1] - a[0] + 2
+        step = min(n_v, m)          # from a's text to a + n_v's
+        digits = _uint_words(np.r_[lo:lo + m, lo + n_v + m - step:
+                                   lo + n_v + m].astype(_U64))
+        at = (a - lo)[:, None] + np.array([0, step, step + 1, 1])
         # "f ", then per corner its digit words and " " (the last "\n")
         w = len(digits)
         out = np.empty((len(a), 1 + 4 * (w + 1)), _U64)
         out[:, 0] = int.from_bytes(b"f ", "little")
         corners = out[:, 1:].reshape(len(a), 4, w + 1)
-        for k, d in enumerate(digits):
-            corners[:, :, k] = d
+        for c, d in enumerate(digits):
+            corners[:, :, c] = d[at]
         corners[:, :, w] = ord(" ")
         corners[:, -1, w] = ord("\n")
         blocks.append(out.tobytes().translate(None, b"\0"))

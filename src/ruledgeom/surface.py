@@ -27,10 +27,10 @@ the four scalar invariants and the derivatives that an oracle or the
 analytic striction formula produced.  Everything else is formed for the
 columns a reader asks for: the moments c x e, c x t and c x g of the dual
 frame (dual_frame(sl)), and every derivative without an oracle
-(_grid_derivative: grid differences of e or c on the block and the halo its
-stencils read).  Each formed element goes through the same ufuncs as the
-whole-grid form, so a block of it, or the whole field read as e_star,
-e_u, ..., has the bits of the arrays that used to be stored.
+(derivative(name, sl): grid differences of e or c on the block and the
+halo its stencils read).  Each formed element goes through the same
+ufuncs whatever the columns, so a block has the bits of the same columns
+of the whole field.
 
 The per-sample arithmetic (the grid differences, striction curve, frame
 and invariants of `analyze`, all of `frame_ode_residual`, and in
@@ -48,17 +48,16 @@ the band system of an offset's or a sampled surface's spline last node
 builtin only import it.  The Hermite maps of the chain-rule check and the
 last piece of a spline are formed and evaluated by two kernels here that
 repeat scipy 1.17.1's CubicHermiteSpline and PPoly arithmetic bit for bit
-(_hermite_coefficients, _ppoly_evaluate).  scipy.interpolate, which brings
-scipy.special, optimize, sparse, spatial and fft with it (about 0.25 s
-and 23 MB), is imported only inside grid_spline's fallback fit (_fit), so
-no command loads it.  scipy.linalg stays eager on purpose: deferring it
-too made every job faster but moved the heap state that the benchmark's
-reference pass runs in (CHANGES.md).
+(_hermite_coefficients, _ppoly_evaluate).  A spline surface is grid-bound:
+its callables read the spline at its sample grid and raise off it, so the
+package fits no spline and never imports scipy's interpolation subpackage.
+scipy.linalg stays eager on purpose: deferring it too made every job
+faster but moved the heap state that the benchmark's reference pass runs
+in (CHANGES.md).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -159,30 +158,19 @@ class Reparametrization:
 
 @dataclass(frozen=True)
 class DualCurvatureInvariants:
-    """Per-sample dual curvature R, dual spherical radius of curvature rho,
-    and the unit vector d0 along the dual Darboux axis, built on first
-    read from cos(rho) and the dual frame of the analysis."""
+    """Per-sample dual curvature R and dual spherical radius of curvature
+    rho; d0_cols(sl) forms the unit vector d0 along the dual Darboux axis
+    from cos(rho) and the dual frame of the analysis."""
 
     R: DualScalar        # fields are (n,) arrays; R = sin(rho)
     rho: DualScalar      # fields are (n,) arrays
     cos_rho: DualScalar = field(repr=False)
     analysis: SurfaceAnalysis = field(repr=False)
 
-    @property
-    def frame_eg(self) -> tuple[DualScalar, DualScalar]:
-        """The dual frame's e and g on the whole grid."""
-        e_t, _, g_t = self.analysis.dual_frame()
-        return e_t, g_t
-
-    @functools.cached_property
-    def d0(self) -> DualScalar:
-        """cos(rho) e + sin(rho) g; fields are (3, n) arrays."""
-        return self.d0_cols(slice(None))
-
     def d0_cols(self, sl: slice, frame: Optional[tuple] = None) -> DualScalar:
-        """The columns sl of d0, formed from the columns sl of its factors
-        (a column block of d0 that never builds the whole of it); frame is
-        the analysis's dual_frame(sl) when the caller has formed it."""
+        """The columns sl of d0 = cos(rho) e + sin(rho) g, formed from the
+        columns sl of its factors; frame is the analysis's dual_frame(sl)
+        when the caller has formed it."""
         e_t, _, g_t = self.analysis.dual_frame(sl) if frame is None else frame
         return self.cos_rho.cols(sl) * e_t + self.R.cols(sl) * g_t
 
@@ -195,27 +183,6 @@ class DualCurvatureInvariants:
         return float(np.max([np.max(np.abs(x - y)) for x, y in (
             (sin_rho.real, self.R.real), (sin_rho.dual, self.R.dual),
             (cot_rho.real, gamma_bar.real), (cot_rho.dual, gamma_bar.dual))]))
-
-
-class _Formed:
-    """A (3, n) field of SurfaceAnalysis that is read whole but formed,
-    block by block, on each read (SurfaceAnalysis._form), unless the
-    analysis holds it: a derivative that an oracle or the analytic
-    striction formula produced.  As a dataclass default it means "not
-    held"."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, a, owner=None):
-        if a is None:
-            return self
-        held = vars(a).get(self.name)
-        return a._form(self.name) if held is None else held
-
-    def __set__(self, a, value):
-        vars(a)[self.name] = (None if value is None or value is self
-                              else read_only(value))
 
 
 # each derivative field: the sampled field it differentiates, and the held
@@ -232,10 +199,9 @@ class SurfaceAnalysis:
 
     It stores the sampled fields, the scalar invariants and the derivatives
     that an oracle or the analytic striction formula produced (e_u, e_uu,
-    c_u; None where none did).  The moments e_star, t_star and g_star and
-    the derivatives it does not hold are formed, whole, on each read, with
-    the bits of the block forms that dual_frame(sl) and derivative(name,
-    sl) give (module docstring)."""
+    c_u; None where none did).  dual_frame(sl) forms the dual moments and
+    derivative(name, sl) reads every derivative, held or formed, on the
+    columns sl (module docstring)."""
 
     spec: SurfaceSpec
     u: np.ndarray
@@ -251,18 +217,11 @@ class SurfaceAnalysis:
     gamma: np.ndarray
     gamma_dual: np.ndarray
     reparam: Reparametrization
-    # moments c x e, c x t, c x g about the striction curve: the dual parts
-    # of the dual Darboux frame
-    e_star: np.ndarray = field(default=_Formed(), init=False, repr=False,
-                               compare=False)
-    t_star: np.ndarray = field(default=_Formed(), init=False, repr=False,
-                               compare=False)
-    g_star: np.ndarray = field(default=_Formed(), init=False, repr=False,
-                               compare=False)
-    # derivative arrays, for the frame and the residual diagnostics
-    e_u: np.ndarray = field(default=_Formed(), repr=False, compare=False)
-    e_uu: np.ndarray = field(default=_Formed(), repr=False, compare=False)
-    c_u: np.ndarray = field(default=_Formed(), repr=False, compare=False)
+    # the held derivatives; read them through derivative(name, sl)
+    e_u: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    e_uu: Optional[np.ndarray] = field(default=None, repr=False,
+                                       compare=False)
+    c_u: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in list(vars(self).items()):
@@ -288,22 +247,13 @@ class SurfaceAnalysis:
         c, *vectors = _cols(sl, self.c, self.e, self.t, self.g)
         return tuple(DualScalar(v, cross3(c, v)) for v in vectors)
 
-    def derivative(self, name: str, sl: slice) -> np.ndarray:
-        """The columns sl of e_u, e_uu or c_u: a view of the held array, or
-        formed from e or c (_grid_derivative)."""
+    def derivative(self, name: str, sl: slice = slice(None)) -> np.ndarray:
+        """The columns sl of e_u, e_uu or c_u, read-only: a view of the held
+        array, or formed from e or c (_grid_derivative)."""
         y, chain = _DERIVATIVES[name]
-        return _grid_derivative(sl, self.h, getattr(self, y),
-                                *(vars(self)[k] for k in chain))
-
-    def _form(self, name: str) -> np.ndarray:
-        """The whole field `name` that the analysis does not hold."""
-        if name in _DERIVATIVES:
-            whole = np.empty((3, self.n))
-            for sl in _blocks(self.n):
-                whole[:, sl] = self.derivative(name, sl)
-        else:                     # a moment: e_star is c x e, ...
-            whole = cross3(self.c, getattr(self, name[0]))
-        return read_only(whole)
+        return read_only(_grid_derivative(
+            slice(*sl.indices(self.n)), self.h, getattr(self, y),
+            *(getattr(self, k) for k in chain)))
 
     def invariants(self) -> DualCurvatureInvariants:
         """Dual curvature invariants, computed afresh on every call."""
@@ -329,14 +279,18 @@ def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> tuple:
     transpose, a Fortran-ordered (n, 3) array, goes to LAPACK dgtsv (the
     routine solve_banded calls for a (1, 1) band), which solves it in
     place, and s is that transpose."""
+    n = len(u)
+    if n < 2:
+        raise ValueError("`x` must contain at least 2 elements.")
     if not np.isfinite(u).all():
         raise ValueError("`x` must contain only finite values.")
     if not np.isfinite(y).all():
         raise ValueError("`y` must contain only finite values.")
-    n = len(u)
     dx = np.diff(u)
     if np.any(dx <= 0):
         raise ValueError("`x` must be strictly increasing sequence.")
+    if n < 4:
+        raise ValueError(f"a grid spline needs at least 4 samples (got {n})")
     slope = np.diff(y, axis=1)
     slope /= dx
     # the sub-, main and super-diagonal of the band
@@ -365,10 +319,10 @@ def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> tuple:
     return dx, slope, s
 
 
-def _spline_last_node(u: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
+def _spline_last_node(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The value at u[-1] of CubicSpline(u, y.T, axis=0) for (3, n) samples
-    y, n >= 4, with its bits, without fitting the spline; None when a bound
-    cannot show that every coefficient of the spline is finite.
+    y, n >= 4, with its bits, without fitting the spline; a ValueError when
+    a bound cannot show that every coefficient of the spline is finite.
 
     From the slopes it forms, as CubicHermiteSpline does, the coefficients
     of the last piece only, and evaluates that piece as PPoly does."""
@@ -380,7 +334,8 @@ def _spline_last_node(u: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
     h = float(np.min(dx))
     bound = 8.0 * m if h >= 1.0 else 8.0 * m / h / h
     if not bound < np.inf:   # NaN fails too
-        return None
+        raise ValueError("the spline through the samples is unbounded: its "
+                         "coefficients may leave the float range")
     last = slice(-2, None)
     return _ppoly_evaluate(
         u[last], _hermite_coefficients(u[last], y[:, last], s[last].T), u[-1])
@@ -428,36 +383,23 @@ def _ppoly_evaluate(x: np.ndarray, c: tuple, xp) -> np.ndarray:
     return out
 
 
-def _fit(u: np.ndarray, y: np.ndarray):
-    """CubicSpline(u, y.T, axis=0); scipy.interpolate loads on first use."""
-    from scipy.interpolate import CubicSpline
-    return CubicSpline(u, y.T, axis=0)
-
-
 def grid_spline(u: np.ndarray, y: np.ndarray) -> Callable:
-    """The curve callable of the interpolating (not-a-knot) cubic spline
-    CubicSpline(u, y.T, axis=0) through the (3, n) samples y on the grid
-    u, with its bits, that fits the spline only where it is read.
+    """The curve callable, on the grid u only, of the interpolating
+    (not-a-knot) cubic spline CubicSpline(u, y.T, axis=0) through the
+    (3, n) samples y, with its bits, without fitting the spline.
 
     PPoly evaluates a piece at its left end as 0.0 + y + 0*(...), so at
     every node but the last the spline reads y + 0.0 (y itself, with -0.0
     read as +0.0); the last node, the right end of the last piece, comes
-    from _spline_last_node.  The spline itself is fitted, once, on the
-    first call off the grid, when a coefficient may not be finite (such a
-    piece reads NaN at its node), and for n < 4; CubicSpline's input
-    errors are raised here either way."""
-    spline = last = None
-    if len(u) < 4:
-        spline = _fit(u, y)
-    else:
-        last = _spline_last_node(u, y)
+    from _spline_last_node, and CubicSpline's input errors are raised
+    here.  A call at any other parameters raises a ValueError."""
+    last = _spline_last_node(u, y)
 
     def curve(x):
-        nonlocal spline
-        if last is None or not (x is u or np.array_equal(x, u)):
-            if spline is None:
-                spline = _fit(u, y)
-            return spline(x)
+        if not (x is u or np.array_equal(x, u)):
+            raise ValueError(
+                f"a spline surface is read only at its sample grid ({len(u)}"
+                f" samples on [{u[0]:.17g}, {u[-1]:.17g}])")
         out = (y + 0.0).T
         out[-1] = last
         return out
@@ -847,7 +789,7 @@ def spline_surface(u: np.ndarray, e: np.ndarray, p: np.ndarray,
     samples p on the uniform grid u.  Its callables are grid_splines: they
     return the samples at every node but the last, whose bits the
     interpolating splines decide and which is computed without fitting
-    them; off the grid they fit the splines, once, and interpolate."""
+    them, and they raise off the grid."""
     return SurfaceSpec(
         director=grid_spline(u, e), base=grid_spline(u, p),
         param_range=(float(u[0]), float(u[-1])), sample_count=len(u),

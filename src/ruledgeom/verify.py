@@ -265,7 +265,7 @@ def _pipeline_checks(label: str, a, tol: Tolerances,
     ee = dual_dot(e_tilde, e_tilde)
     unit_dev = max(np.max(np.abs(ee.real - 1.0)), np.max(np.abs(ee.dual)))
 
-    c_s = a.c_u / a.sigma
+    c_s = a.derivative("c_u") / a.sigma
     ortho = np.max(np.abs(dot3(c_s, a.t)[trim]))
     decomp = np.max(norm3(c_s - a.delta * a.e - a.Delta * a.g)[trim])
 

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import interpolate
-from scipy.interpolate import PPoly
 
 from ruledgeom import catalog, cli, offsets, surface
 from ruledgeom.cli import main
@@ -429,26 +431,45 @@ def test_mesh_and_the_offset_re_analysis_fit_no_spline(tmp_path):
         offsets=[{"mode": "theorem_consistent", "c": 2.8, "c_star": 0.7},
                  {"mode": "constant_angle", "theta": 0.0,
                   "theta_star": 4 * SQ2}])
-    fits, calls = [], []
-    fit, call = interpolate.CubicSpline, PPoly.__call__
+    assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path),
+                 "--v-count", "3"]) == 0
+    a = analyze(catalog.cone(np.pi / 4, (0.0, 2.5 / np.sin(np.pi / 4)),
+                             2001))
+    rep = offsets.verify_offset(a, offsets.OffsetSpec.theorem(2.8, 0.7))
+    # the re-analysis reads its splines at the grid only: they are
+    # grid-bound, and no module of the package can fit one
+    spec = rep.offset_analysis.spec
+    with pytest.raises(ValueError, match="sample grid"):
+        spec.director(0.5 * (a.u[1:] + a.u[:-1]))
+    assert spec.base(a.u).shape == (2001, 3)
 
-    def counted(*args, **kwargs):
-        fits.append(None)
-        return fit(*args, **kwargs)
 
-    def spy(self, *args, **kwargs):
-        calls.append(None)
-        return call(self, *args, **kwargs)
-
-    with mock.patch.object(interpolate, "CubicSpline", counted), \
-            mock.patch.object(PPoly, "__call__", spy):
-        assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path),
-                     "--v-count", "3"]) == 0
-        a = analyze(catalog.cone(np.pi / 4, (0.0, 2.5 / np.sin(np.pi / 4)),
-                                 2001))
-        offsets.verify_offset(a, offsets.OffsetSpec.theorem(2.8, 0.7))
-    # the re-analysis reads its splines at the grid only
-    assert fits == [] and calls == []
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the address-space limit is enforced on Linux")
+def test_mesh_too_large_to_hold_exits_1(tmp_path):
+    """A v-count whose vertex grid cannot be allocated exits 1 with an
+    error line and no traceback, before any face text is formatted.  The
+    command runs in a child process under a 2-GB address-space limit, so
+    that it fails at once instead of growing until the host runs out of
+    memory."""
+    cfg = write_config(
+        tmp_path / "cfg.json", surface={"builtin": "cone", "alpha": np.pi / 4},
+        param_range=[0.0, 2.5 / np.sin(np.pi / 4)], sample_count=2001)
+    argv = ["mesh", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--v-count", "1000000000000"]
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from ruledgeom.cli import main\n"
+             f"sys.exit(main({argv!r}))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    # numpy's message for the grid's v array: the grid is allocated first
+    assert done.stderr.startswith("error: out of memory: Unable to allocate")
+    assert "shape (1000000000000,)" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_mesh_unwritable_path_exits_1(tmp_path, capsys):

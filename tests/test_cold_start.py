@@ -1,8 +1,9 @@
-"""Each command loads only the scipy it calls: scipy.interpolate is
-imported on first use, only by grid_spline's fallback fits, so importing
-the package and running `analyze`, `offset`, `mesh` and `verify` never
-load it (`verify`'s chain-rule check forms and evaluates its Hermite maps
-with surface.py's own kernels).  Each case runs in a fresh interpreter."""
+"""Each command loads only the scipy it calls: no module of the package
+imports scipy.interpolate (spline surfaces are grid-bound and fit no
+spline), so importing the package and running `analyze`, `offset`,
+`mesh` and `verify` never load it (`verify`'s chain-rule check forms and
+evaluates its Hermite maps with surface.py's own kernels).  Each case
+runs in a fresh interpreter."""
 
 import json
 import os

@@ -283,33 +283,29 @@ def fits(monkeypatch):
     return made
 
 
-def test_the_spline_is_fitted_on_the_first_off_grid_call_only(fits):
+def test_the_spline_is_never_fitted_and_raises_off_the_grid(fits):
     u = np.linspace(0.0, 2.0, 101)
     y = np.vstack([np.cos(u), np.sin(u), u])
     spline = CubicSpline(u, y.T, axis=0)
-    mid = 0.5 * (u[1:] + u[:-1])
     curve = grid_spline(u, y)
     assert_same_bits(curve(u), spline(u))
     assert_same_bits(curve(u.copy()), spline(u))
+    for x in (u[::2], 0.5 * (u[1:] + u[:-1]), u[:-1]):
+        with pytest.raises(ValueError, match="sample grid"):
+            curve(x)
+    assert_same_bits(curve(u), spline(u))
     assert fits == []
-    assert_same_bits(curve(mid), spline(mid))
-    assert len(fits) == 1
-    for x in (u[::2], mid, u, u[:-1]):
-        assert_same_bits(curve(x), spline(x))
-    assert len(fits) == 1       # later calls reuse the one fit
 
 
-def test_an_unbounded_fit_is_made_once_and_read_at_the_grid(fits):
+def test_an_unbounded_spline_is_refused_without_a_fit(fits):
     # secant slopes of 1e300 / 1.25e-4 overflow, so the bound cannot show
-    # that the coefficients are finite: the grid reads the spline itself
+    # that the coefficients are finite: the spline is refused, not fitted
     u = np.linspace(0.0, 1e-3, 9)
     y = np.vstack([np.zeros(9), np.linspace(-1.0, 1.0, 9), np.ones(9)])
     y[0, 3], y[0, 4] = 1e300, -1e300
     with np.errstate(over="ignore", invalid="ignore"):
-        assert surface._spline_last_node(u, y) is None
-        spline = CubicSpline(u, y.T, axis=0)
-        curve = grid_spline(u, y)
-        assert fits == []
-        for _ in range(2):
-            assert_same_bits(curve(u), spline(u))
-    assert len(fits) == 1
+        with pytest.raises(ValueError, match="unbounded"):
+            surface._spline_last_node(u, y)
+        with pytest.raises(ValueError, match="unbounded"):
+            grid_spline(u, y)
+    assert fits == []

@@ -1,6 +1,6 @@
 """The offset's and a sampled surface's curve callables read their samples
 at the grid: `grid_spline` must equal an independently fitted
-interpolating spline bit for bit, at the grid and off it."""
+interpolating spline bit for bit at the grid, and raise off it."""
 
 import math
 import tracemalloc
@@ -44,17 +44,23 @@ def assert_bitwise(got, want):
     assert np.array_equal(bits(got), bits(want))
 
 
+def off_grid(u):
+    """Parameters that are not the grid u: its midpoints, parts of it, a
+    grid one ulp off, and one node."""
+    return (0.5 * (u[1:] + u[:-1]), u[::2], u[:-1], u[1:],
+            np.nextafter(u, np.inf), u[len(u) // 3])
+
+
 def check(u, y):
     """grid_spline of the (3, n) samples y equals a spline fitted to them
-    here, at the grid (the same and a copied grid) and off it."""
+    here at the grid (the same and a copied grid), and raises off it."""
     spline = CubicSpline(u, y.T, axis=0)
     curve = grid_spline(u, y)
     for x in (u, u.copy()):
         assert_bitwise(curve(x), spline(x))
-    mid = 0.5 * (u[1:] + u[:-1])
-    for x in (mid, u[::2], u[:-1], u[1:], np.nextafter(u, np.inf),
-              u[len(u) // 3]):
-        assert_bitwise(curve(x), spline(x))
+    for x in off_grid(u):
+        with pytest.raises(ValueError, match="sample grid"):
+            curve(x)
     return spline, curve
 
 
@@ -78,8 +84,9 @@ def test_sampled_csv_curves_equal_their_splines(tmp_path):
     e_unit = e.T / norm3(e.T)      # sampled_surface renormalizes
     for fn, y in ((spec.director, e_unit), (spec.base, p.T)):
         spline, _ = check(u, y)
-        for x in (u, 0.5 * (u[1:] + u[:-1])):
-            assert_bitwise(fn(x), spline(x))
+        assert_bitwise(fn(u), spline(u))
+        with pytest.raises(ValueError, match="sample grid"):
+            fn(0.5 * (u[1:] + u[:-1]))
 
 
 
@@ -108,17 +115,34 @@ def test_negative_zero_reads_as_its_spline_does():
     assert not np.signbit(out[[0, 4, 7], [0, 1, 2]]).any()   # -0.0 -> +0.0
 
 
-def test_overflowing_fit_is_evaluated_as_is():
+def test_a_spline_surface_is_grid_bound():
+    """A sampled surface analyzes on its grid; its callables, called at
+    any other parameters, raise a ValueError that names the grid."""
+    a = analyze(catalog.cone(math.pi / 4, (0.0, 3.0), 101))
+    spec = sampled_surface(a.u, a.e.T, a.c.T)
+    assert np.max(np.abs(analyze(spec).e - a.e)) < 1e-12
+    for fn in (spec.director, spec.base):
+        for x in off_grid(a.u) + (np.linspace(0.0, 3.0, 201),):
+            with pytest.raises(ValueError, match=r"read only at its sample "
+                               r"grid \(101 samples on \[0, 3\]\)"):
+                fn(x)
+    for n in (2, 3):            # too few for the not-a-knot band system
+        u = np.linspace(0.0, 1.0, n)
+        with pytest.raises(ValueError, match=f"at least 4 samples \\(got {n}"):
+            grid_spline(u, np.vstack([u, u, u]))
+
+
+def test_an_unbounded_spline_raises_a_named_error():
     # a +-1e300 pair on a fine grid: the slopes and the spline's
-    # coefficients overflow, and its pieces read NaN at their nodes
+    # coefficients overflow, and its pieces would read NaN at their nodes
     u = np.linspace(0.0, 1e-3, 9)
     y = np.vstack([np.zeros(9), np.linspace(-1.0, 1.0, 9), np.ones(9)])
     y[0, 3], y[0, 4], y[2, 5] = 1e300, -1e300, -0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        spline, curve = check(u, y)
-        out = curve(u)
-    assert not np.isfinite(spline.c).all()
-    assert np.isnan(out).any()
+        assert not np.isfinite(CubicSpline(u, y.T, axis=0).c).all()
+        with pytest.raises(ValueError, match="spline through the samples "
+                           "is unbounded"):
+            grid_spline(u, y)
 
 
 def test_verify_offset_calls_no_ppoly():

@@ -378,12 +378,18 @@ def _array_digests(a, rep) -> dict:
             value = getattr(analysis, f.name)
             if isinstance(value, np.ndarray):
                 put(f"{prefix}.{f.name}", value)
+        # the moments and the derivatives, formed on the whole grid
+        for name, moment in zip(("e_star", "t_star", "g_star"),
+                                analysis.dual_frame()):
+            put(f"{prefix}.{name}", moment.dual)
+        for name in ("e_u", "e_uu", "c_u"):
+            put(f"{prefix}.{name}", analysis.derivative(name))
         inv = (a.invariants() if prefix == "base"
                else rep.offset_invariants)
-        for field in ("R", "rho", "d0"):
+        for field, value in (("R", inv.R), ("rho", inv.rho),
+                             ("d0", inv.d0_cols(slice(None)))):
             for part in ("real", "dual"):
-                put(f"{prefix}_inv.{field}.{part}",
-                    getattr(getattr(inv, field), part))
+                put(f"{prefix}_inv.{field}.{part}", getattr(value, part))
     built = rep.constructed
     put("constructed.theta_bar.real", built.theta_bar.real)
     put("constructed.theta_bar.dual", built.theta_bar.dual)

@@ -1,13 +1,16 @@
 """Mannheim offsets: construction, predictions, independent recheck."""
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruledgeom import catalog
+from ruledgeom import catalog, verify
+from ruledgeom.cli import main
 from ruledgeom.config import Tolerances
 from ruledgeom.dual import DualScalar, dual_angle, dual_cos, dual_mul, dual_sin
 from ruledgeom.errors import DegenerateOffset
@@ -346,10 +349,9 @@ def test_results_are_frozen_and_d0_is_built_on_first_read():
                          (rep.rows[0], "deviation"), (rep, "n_valid")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(result, name, None)
-    assert "d0" not in vars(inv)
-    d0 = inv.d0
-    assert vars(inv)["d0"] is d0 and inv.d0 is d0
-    e_t, g_t = inv.frame_eg
+    d0 = inv.d0_cols(slice(None))
+    assert "d0" not in vars(inv)        # formed on each read, never held
+    e_t, _, g_t = a.dual_frame()
     assert np.array_equal(d0.real, (inv.cos_rho * e_t + inv.R * g_t).real)
 
 
@@ -381,3 +383,63 @@ def test_dual_values_are_read_only():
     assert wrapped.real[0] == 1.0 and own.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         wrapped.dual[0] = 2.0
+
+
+# --- measured defects (ROADMAP items 2, 3 and 11) ---
+# Each test asserts its tolerance as it stands and fails on today's code:
+# the change that mends the defect must flip it (strict xfail).
+
+def _readme_cone_config(path, **doc):
+    doc["offsets"] = [{"mode": "theorem_consistent", "c": 2.8, "c_star": 0.7}]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: where the parameter "
+                   "runs the other way, t1 = -g, and the real residual "
+                   "reads 2.000")
+def test_reversed_sampled_csv_cone_passes_the_mannheim_check(tmp_path):
+    """The README cone's analysis.csv, reused as a sampled_csv with its
+    rows reversed (u kept increasing), in `ruledgeom offset`."""
+    cfg = _readme_cone_config(
+        tmp_path / "cone.json", surface={"builtin": "cone", "alpha": np.pi / 4},
+        param_range=[0.0, 2.5 / np.sin(np.pi / 4)], sample_count=2001)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "analysis.csv", delimiter=",", skiprows=1)
+    u, c, e = table[:, 0], table[::-1, 3:6], table[::-1, 6:9]
+    with open(tmp_path / "reversed.csv", "w") as fh:
+        fh.write("u,ex,ey,ez,px,py,pz\n")
+        np.savetxt(fh, np.column_stack([u, e, c]), fmt="%.17g",
+                   delimiter=",")
+    cfg = _readme_cone_config(
+        tmp_path / "reversed.json",
+        surface={"sampled_csv": str(tmp_path / "reversed.csv")})
+    assert main(["offset", "--config", cfg, "--out", str(tmp_path)]) in (0, 2)
+    report = (tmp_path / "offset_0_report.txt").read_text()
+    real = float(re.search(r"\|: real=(\S+) ", report).group(1))
+    assert real <= Tolerances().mannheim_real
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the offset's "
+                   "re-analysis differences the base's one-sided end "
+                   "stencils twice more; delta1 reads 1.06e-2")
+def test_theorem_offset_of_a_small_circle_without_oracles_verifies():
+    spec = dataclasses.replace(
+        catalog.small_circle(np.pi / 6, 1.0, (0.0, 5.0), 2001),
+        director_d1=None, director_d2=None, base_d1=None, base_d2=None)
+    rep = verify_offset(analyze(spec), OffsetSpec.theorem(2.8, 1.0))
+    delta1 = next(r.deviation for r in rep.rows if r.name == "delta1")
+    assert delta1 <= Tolerances().theorem_compare
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the dual residual "
+                   "compares moments about the world origin; it reads "
+                   "1.63e-3 at |b| = 1000")
+def test_translated_theorem_cone_passes_the_mannheim_check():
+    """The verify suite's theorem cone pair, translated by b."""
+    name, *args = verify.THEOREM_CONE
+    spec = getattr(catalog, name)(*args)
+    b = 1000.0 * np.array([0.6, 0.0, 0.8])
+    moved = dataclasses.replace(spec, base=lambda u: spec.base(u) + b)
+    rep = verify_offset(analyze(moved), OffsetSpec.theorem(2.8, 0.7))
+    assert rep.mannheim_residual_dual <= Tolerances().mannheim_dual

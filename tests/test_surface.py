@@ -214,7 +214,7 @@ def test_striction_decomposition():
     # c' = delta e + Delta g, which also pins <c', t> = 0
     for spec in (saddle(), catalog.small_circle(np.pi / 6, 1.0, (0.0, 5.0), 1001)):
         a = analyze(spec)
-        c_s = a.c_u / a.sigma
+        c_s = a.derivative("c_u") / a.sigma
         res = c_s - a.delta * a.e - a.Delta * a.g
         assert np.max(np.linalg.norm(res[:, 2:-2], axis=0)) < 1e-5
         assert np.max(np.abs(np.sum(c_s * a.t, axis=0)[2:-2])) < 1e-6
@@ -269,8 +269,9 @@ def test_invariants_flat_axis():
     assert np.max(np.abs(inv.rho.real - np.pi / 2)) < 1e-12
     assert np.max(np.abs(inv.rho.dual)) < 1e-12
     _, _, g_t = a.dual_frame()
-    assert np.max(np.abs(inv.d0.real - g_t.real)) < 1e-12
-    assert np.max(np.abs(inv.d0.dual - g_t.dual)) < 1e-12
+    d0 = inv.d0_cols(slice(None))
+    assert np.max(np.abs(d0.real - g_t.real)) < 1e-12
+    assert np.max(np.abs(d0.dual - g_t.dual)) < 1e-12
 
 
 def test_invariants_unit_curvature():
@@ -397,11 +398,12 @@ def test_orthonormality_defect_propagates_nan():
 def test_invariants_are_recomputed_equal():
     a = analyze(catalog.small_circle(0.4, 1.0, (0.0, 5.0), 101))
     first, second = a.invariants(), a.invariants()
+    d0_first, d0_second = (inv.d0_cols(slice(None)) for inv in (first, second))
     for x, y in [(first.R.real, second.R.real), (first.R.dual, second.R.dual),
                  (first.rho.real, second.rho.real),
                  (first.rho.dual, second.rho.dual),
-                 (first.d0.real, second.d0.real),
-                 (first.d0.dual, second.d0.dual)]:
+                 (d0_first.real, d0_second.real),
+                 (d0_first.dual, d0_second.dual)]:
         assert np.array_equal(x, y)
 
 
@@ -488,7 +490,7 @@ def test_frame_ode_nan_defect_propagates():
     # a NaN second derivative poisons the t and g rows at one sample; the
     # real maximum must not read it as a pass
     a = analyze(catalog.cone(np.pi / 4, (0.0, 3.0), 201))
-    e_uu = np.array(a.e_uu)
+    e_uu = np.array(a.derivative("e_uu"))
     e_uu[:, 100] = np.nan
     res = frame_ode_residual(replace(a, e_uu=e_uu))
     assert np.isnan(res.real_max) and np.isnan(res.dual_max)
