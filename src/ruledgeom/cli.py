@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -34,7 +35,14 @@ EXIT_VERIFY = 2
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, the code of a failed
-    verification here; this parser (and its subparsers) exits 1."""
+    verification here; this parser (and its subparsers) exits 1.  It also
+    reads a negative number written with an exponent or a trailing dot
+    (-1e-1, -5.) as a value, as argparse reads -0.1, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

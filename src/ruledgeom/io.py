@@ -3,12 +3,16 @@
 All emission is locale-independent: '.' decimal point, LF line endings,
 fixed column order.  Every float cell is '%.17g' % x byte for byte.  A
 numpy kernel formats whole blocks of cells: it scales |x| by a power of
-ten in exact double-double arithmetic, rounds to 17 digits and lays out
-the fixed or exponent form of '%g'.  Only the cells it cannot certify
-are formatted by '%.17g' itself, one by one: a 17th-digit fraction
-within _TIE_MARGIN of 1/2 (exact ties included), non-finite values, and
-magnitudes outside [1e-280, 1e280].  Face indices go through the same
-digit code (_bcd8) as integers.
+ten in exact double-double arithmetic and rounds to 17 digits, in place
+and in a fixed operation order.  It splits the digits into a leading one
+and four 4-digit groups, whose digit bytes it reads from one table of
+10^4 entries, and lays out the fixed or exponent form of '%g' with masks
+read by the decimal exponent and the count of digits shown.  The last
+operation of each of a cell's four text words writes it straight into
+the block's text buffer.  Only the cells it cannot certify are formatted
+by '%.17g' itself, one by one: a 17th-digit fraction within _TIE_MARGIN
+of 1/2 (exact ties included), non-finite values, and magnitudes outside
+[1e-280, 1e280].  Face indices are read from the same group table.
 """
 
 from __future__ import annotations
@@ -35,18 +39,24 @@ SAMPLED_COLUMNS = ["u", "ex", "ey", "ez", "px", "py", "pz"]
 
 
 # Rows and cells formatted per write: bound the arrays built per write.
-# Past ~16k cells the kernel's temporaries outgrow the allocator's reused
-# memory, and faulting in fresh pages costs more than the arithmetic.
+# On the commands (analyze, offset, mesh at n = 2001; 2-core x86-64 VM),
+# 4096 cells read about 10% slower than 8192, and 6144-16384 the same
+# within 2%.
 BLOCK_ROWS = 4096
 BLOCK_CELLS = 8192
 
 # --- '%.17g' kernel --------------------------------------------------------
 #
 # A cell's text is built in four little-endian uint64 words, 32 bytes:
-#   word 0  byte 0 the sign, bytes 1-5 the "0." and zeros of 0.000ddd;
-#   words 1-3  the 17 digits, with '.' inserted after the integer part
-#     (fixed form) or the first digit (exponent form), in bytes 0-17;
-#   word 3  bytes 2-6 "e+XX" or "e+XXX", byte 7 the separator.
+#   word 0  byte 0 the sign, bytes 1-5 the "0." and zeros of 0.000ddd,
+#     byte 6 the leading digit, byte 7 the '.' after it (exponent form,
+#     and the fixed form of 1 <= |x| < 10);
+#   words 1-2  digits 2-17, four 4-digit groups; where the dot falls
+#     among them (fixed form, 10 <= |x| < 1e16) the digits after it move
+#     up one byte, the last into byte 0 of word 3, and '.' takes the
+#     freed byte;
+#   word 3  bytes 0-4 "e+XX" or "e+XXX" (exponent form), bytes 5-7 what
+#     follows the cell: the separator, or LF and the next row's head.
 # Zero bytes are padding, deleted from the whole block at once.
 
 # The kernel formats 10^_K_MIN <= |x| <= 10^_K_MAX; beyond, Dekker's split
@@ -65,21 +75,33 @@ _U64 = np.uint64
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+    """Dekker's split a = hi + lo into 26-bit halves, in two arrays."""
+    hi = _SPLITTER * a
+    lo = hi - a
+    hi -= lo                  # c - (c - a)
+    np.subtract(a, hi, out=lo)
+    return hi, lo
 
 
-def _byte_words(table: np.ndarray) -> np.ndarray:
-    """(rows, 8 * w) bytes -> w uint64 arrays of the rows' words."""
-    return np.ascontiguousarray(table.view(_U64).T)
+def _cell_masks(dot: int, lead: bytes, shown: int) -> bytes:
+    """The 32 layout bytes a cell's digit values are OR-ed with: `lead`
+    in bytes 1-5, '0' on each of the `shown` digit bytes, and '.' after
+    digit `dot` when a digit follows it (dot 0: none)."""
+    text = bytearray(32)
+    text[1:1 + len(lead)] = lead
+    text[6] = 0x30
+    for d in range(2, shown + 1):      # digit d in byte d + 6, or moved
+        text[d + 6 + (d > dot > 1)] = 0x30
+    if 0 < dot < shown:
+        text[7 if dot == 1 else dot + 7] = ord(".")
+    return bytes(text)
 
 
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """Power-of-ten and layout tables, built on first use: k-indexed
-    arrays (index k - _K_LO), and digit-region masks indexed by a digit
-    count or a dot position."""
+    """Power-of-ten, digit and layout tables, built on first use: arrays
+    indexed by k (index k - _K_LO), by the biased binary exponent, by a
+    4-digit group, and by k and the count of digit bytes shown."""
     ks = range(_K_LO, _K_MAX + 4)
     # 10^(16 - k) = num/den as hi + lo, in exact integer arithmetic (an
     # int / int quotient is correctly rounded)
@@ -91,65 +113,101 @@ def _tables() -> SimpleNamespace:
         lo.append((num * b - a * den) / (den * b))
     hi = np.array(hi)
     hi_h, hi_l = _split(hi)
-    # k-indexed layout: lead bytes, dot position, fewest digits shown
-    # (the integer part of the fixed form), exponent bytes
-    lead = np.zeros((len(ks), 8), np.uint8)
-    expo = np.zeros((len(ks), 8), np.uint8)
-    dot_at = np.empty(len(ks), np.int64)
-    min_digits = np.zeros(len(ks), np.int64)
-    for i, k in enumerate(ks):
-        if 0 <= k < 17:
-            dot_at[i], min_digits[i] = k + 1, k + 1
-        elif -4 <= k < 0:
-            dot_at[i] = 18                       # no dot among the digits
-            lead[i, 1:2 - k] = list(b"0." + b"0" * (-k - 1))
-        else:
-            dot_at[i] = 1
-            e = f"e{k:+03d}".encode()
-            expo[i, 7 - len(e):7] = list(e)
-    # 24-byte digit region masks: digits[m] has '0' in bytes < m; for a
-    # dot at byte p (p = 18: none), below[p] sets bytes < p, above[p]
-    # bytes > p and dot[p] has '.' in byte p
-    region = np.arange(24)
-    shown, at = np.arange(18)[:, None], np.arange(19)[:, None]
-    digits = np.where(region < shown, 0x30, 0).astype(np.uint8)
-    below = np.where(region < at, 0xFF, 0).astype(np.uint8)
-    above = np.where(region > at, 0xFF, 0).astype(np.uint8)
-    dot = np.where((region == at) & (at < 18), 0x2E, 0).astype(np.uint8)
+    # k's estimate floor((e - 1) log10 2) from frexp's exponent e, which
+    # is the biased exponent - 1022
+    k_est = ((np.arange(2048) - 1023) * 78913 >> 18) - _K_LO
+    # per k: the digits before the dot (0: no dot), the lead bytes, the
+    # fewest digits shown (the integer part of the fixed form) and the
+    # exponent bytes
+    forms, expo = [], []
+    for k in ks:
+        fixed, small = 0 <= k < 17, -4 <= k < 0
+        forms.append((k + 1, b"", k + 1) if fixed else
+                     (0, b"0." + b"0" * (-k - 1), 1) if small else (1, b"", 1))
+        expo.append(b"" if fixed or small else f"e{k:+03d}".encode())
+    # masks[j][k, m]: word j of the layout bytes when digits 2-17 end in m
+    # digit bytes up to the last nonzero one; built per form, then read
+    # by k, with the exponent bytes in word 3
+    cls = {f: i for i, f in enumerate(dict.fromkeys(forms))}
+    text = np.frombuffer(b"".join(_cell_masks(f[0], f[1], max(m + 1, f[2]))
+                                  for f in cls for m in range(17)), _U64)
+    at = [cls[f] for f in forms]
+    masks = [text.reshape(len(cls), 17, 4)[at, :, j] for j in range(4)]
+    masks[3] |= np.frombuffer(b"".join(e.ljust(8, b"\0") for e in expo),
+                              _U64)[:, None]
+    # words 1-2 keep the bytes before the dot's and move the rest up one
+    dot = np.array([f[0] for f in forms])[:, None]
+    keep = np.where((dot < 2) | (np.arange(16) < dot - 1), 0xFF, 0)
+    keep = keep.astype(np.uint8).view(_U64)
+    # the digit bytes of each 4-digit group 0000-9999
+    g = np.arange(10 ** 4)
+    group = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1)
     return SimpleNamespace(
         p_hi=hi, p_lo=np.array(lo), p_hi_h=hi_h, p_hi_l=hi_l,
-        p10=10.0 ** (np.array(ks, dtype=float) + 1.0),
-        lead=lead.view(_U64).ravel(), expo=expo.view(_U64).ravel(),
-        dot_at=dot_at, min_digits=min_digits,
-        digits=_byte_words(digits), below=_byte_words(below),
-        above=_byte_words(above), dot=_byte_words(dot))
+        p10=10.0 ** (np.array(ks, dtype=float) + 1.0), k_est=k_est,
+        group=group.astype(np.uint8).view("<u4").ravel().astype(_U64),
+        masks=[m.ravel() for m in masks],
+        keep=[np.ascontiguousarray(keep[:, j]) for j in range(2)])
 
 
 def _scaled(ax: np.ndarray, ki: np.ndarray, tab) -> tuple:
     """|x| * 10^(16 - k) as a + t: a = fl(|x| * hi) is an integer once the
     product is at least 2^53, and t carries the rest to ~2^-48."""
-    a = ax * tab.p_hi[ki]
+    a = tab.p_hi.take(ki)
+    a *= ax
     xh, xl = _split(ax)
-    ph, pl = tab.p_hi_h[ki], tab.p_hi_l[ki]
-    b = ((xh * ph - a) + xh * pl + xl * ph) + xl * pl   # a + b = |x| * hi
-    return a, b + ax * tab.p_lo[ki]
+    ph, pl = tab.p_hi_h.take(ki), tab.p_hi_l.take(ki)
+    t = xh * ph                       # ((xh ph - a) + xh pl + xl ph) + xl pl
+    t -= a
+    xh *= pl
+    t += xh
+    ph *= xl
+    t += ph
+    pl *= xl
+    t += pl                           # a + t = |x| * hi
+    tab.p_lo.take(ki, out=xh)
+    xh *= ax
+    t += xh
+    return a, t
 
 
-def _decade_step(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """+1 where a + t >= 1e17, -1 where a + t < 1e16, else 0.  The signs
-    are exact: a - 10^j is exact for a near 10^j, and a rounded sum keeps
-    the sign of the exact one."""
-    return ((a - 1e17) + t >= 0).astype(np.int64) - ((a - 1e16) + t < 0)
+def _decade_step(a: np.ndarray, t: np.ndarray) -> tuple:
+    """(up, down): a + t >= 1e17, a + t < 1e16.  The signs are exact:
+    a - 10^j is exact for a near 10^j, and a rounded sum keeps the sign of
+    the exact one."""
+    d = a - 1e17
+    d += t
+    up = d >= 0
+    np.subtract(a, 1e16, out=d)
+    d += t
+    return up, d < 0
 
 
-def _bcd8(v: np.ndarray) -> np.ndarray:
-    """v < 10^8 as 8 digit bytes (values 0-9), the leading digit in byte 0."""
-    q = v // _U64(10000)
-    x = q | ((v - q * _U64(10000)) << _U64(32))
-    q = ((x * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)   # / 100
-    x = q | ((x - q * _U64(100)) << _U64(16))
-    q = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)    # / 10
-    return q | ((x - q * _U64(10)) << _U64(8))
+def _digit_bytes(v: np.ndarray) -> np.ndarray:
+    """v < 10^8 (int64) as 8 digit bytes (values 0-9), the leading digit
+    in byte 0, read from the group table as two 4-digit groups.  v is
+    overwritten."""
+    tab = _tables()
+    q = v // 10 ** 4
+    v -= q * 10 ** 4
+    out = tab.group.take(q)
+    tab.group.take(v, out=q.view(_U64), mode="clip")
+    q <<= 32
+    out |= q.view(_U64)
+    return out
+
+
+def _shown_bytes(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """m, the digit bytes of d1 and d2 (digits 2-9 and 10-17) up to the
+    last nonzero one, from the bit length of their 16 bytes: exact, as
+    every digit byte is at most 9, so the rounded sum never reaches the
+    next power of 2."""
+    f = d2 * 2.0 ** 64
+    f += d1
+    m = np.frexp(f)[1]
+    m += 7
+    m >>= 3
+    return m
 
 
 def _uint_words(v: np.ndarray) -> list[np.ndarray]:
@@ -167,70 +225,99 @@ def _uint_words(v: np.ndarray) -> list[np.ndarray]:
     # zero_char[z]: '0' in the bytes from z on, OR-ed onto digit values
     zero_char = np.array([0x3030303030303030 << 8 * z & (1 << 64) - 1
                           for z in range(9)], _U64)
-    return [_bcd8(p) | zero_char[np.clip(lead - 8 * j, 0, 8)]
+    return [_digit_bytes(p.astype(np.int64))
+            | zero_char[np.clip(lead - 8 * j, 0, 8)]
             for j, p in enumerate(parts)]
 
 
-def _byte_len(w: np.ndarray) -> np.ndarray:
-    """Bytes up to the highest nonzero one of each w (exact: a digit byte
-    is at most 9, so the float conversion never rounds up a power of 2)."""
-    return (np.frexp(w.astype(float))[1] + 7) >> 3
+def _g17_words(x: np.ndarray, words, tail: np.ndarray) -> None:
+    """Write the cell text of '%.17g' % v for each v of the 1-D float64
+    array x into `words`, four uint64 arrays of x's size (see the layout
+    above; in _format_rows, strided views of the text buffer), word 3
+    OR-ed with `tail`, the bytes that follow each cell.
 
-
-def _g17_words(x: np.ndarray) -> list[np.ndarray]:
-    """The cell text of '%.17g' % v for each v of the 1-D float64 array x,
-    as its four words (see the layout above)."""
+    Every step runs in place where it can, in the order of the
+    arithmetic it repeats, so the scaled product, the decade step, the
+    rounding and the cells left to '%.17g' keep their bits.  Digits 2-17
+    are read from the group table, and the layout masks by k and by m,
+    the digit bytes up to the last nonzero one (_shown_bytes).  The last
+    operation of each word writes it into `words`."""
     tab = _tables()
     ax = np.abs(x)
     nonzero = ax != 0.0
     # clipped into range (NaN too), so that every cell below is finite;
     # the clipped ones and non-finite ones are left to '%.17g'.  A zero
     # is scaled as 1 (at k = 0), then its digits are zeroed.
-    axc = np.fmax(np.fmin(ax, 10.0 ** _K_MAX), 10.0 ** _K_MIN)
-    fallback = (axc != ax) & nonzero
+    axc = np.fmin(ax, 10.0 ** _K_MAX)
+    np.fmax(axc, 10.0 ** _K_MIN, out=axc)
+    fallback = axc != ax
+    fallback &= nonzero
     axc += ~nonzero
-    # k from the binary exponent, then at most one step from a table
-    ki = ((np.frexp(axc)[1].astype(np.int64) - 1) * 78913 >> 18) - _K_LO
-    ki += axc >= tab.p10[ki]
+    # k from the binary exponent, then at most one step from a table.
+    # (Every table index below is in range by construction; a take into
+    # out= in mode "raise" would copy through a buffer.)
+    ki = axc.view(np.int64) >> 52
+    tab.k_est.take(ki, out=ki, mode="clip")
+    ki += axc >= tab.p10.take(ki)
     # judge k on the unrounded product |x| 10^(16 - k) in [1e16, 1e17)
     a, t = _scaled(axc, ki, tab)
-    step = _decade_step(a, t)
-    off = np.flatnonzero(step)
+    up, down = _decade_step(a, t)
+    off = np.flatnonzero(up | down)
     if len(off):
-        ki[off] += step[off]
+        ki[off] += up[off].astype(np.int64) - down[off]
         a[off], t[off] = _scaled(axc[off], ki[off], tab)
-        fallback[off] |= _decade_step(a[off], t[off]) != 0
+        up, down = _decade_step(a[off], t[off])
+        fallback[off] |= up | down
     whole = np.floor(t)
-    frac = t - whole
-    fallback |= np.abs(frac - 0.5) < _TIE_MARGIN
-    n = (a.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)).view(_U64)
-    carry = n == _U64(10 ** 17)          # rounded up to 10^17: next k
-    n -= carry * _U64(9 * 10 ** 16)
-    ki += carry
-    n *= nonzero                         # 0 -> the digit 0
-    # digits: d0 (digits 1-8), d1 (9-16), d2 (17)
-    q = n // _U64(10 ** 9)
-    d0 = _bcd8(q)
-    n -= q * _U64(10 ** 9)
-    q = n // _U64(10)
-    d1, d2 = _bcd8(q), n - q * _U64(10)
-    # digits shown: trailing zeros dropped, the fixed form's integer kept
-    shown = np.maximum(_byte_len(d0), 8 * (d1 != 0) + _byte_len(d1))
-    shown = np.maximum(np.maximum(shown, 17 * (d2 != 0)), tab.min_digits[ki])
-    dot = tab.dot_at[ki]
-    dot += (shown <= dot) * (18 - dot)   # no fraction: no dot
-    r = [d | tab.digits[j][shown] for j, d in enumerate((d0, d1, d2))]
-    s = [r[0] << _U64(8), (r[1] << _U64(8)) | (r[0] >> _U64(56)),
-         (r[2] << _U64(8)) | (r[1] >> _U64(56))]    # shifted past the dot
-    words = [tab.lead[ki] | np.signbit(x) * _U64(ord("-"))]
-    for j in range(3):
-        words.append((r[j] & tab.below[j][dot]) | (s[j] & tab.above[j][dot])
-                     | tab.dot[j][dot])
-    words[3] |= tab.expo[ki]
+    t -= whole                          # the fraction
+    n = a.astype(np.int64)
+    n += whole.astype(np.int64)
+    n += t > 0.5
+    t -= 0.5
+    np.abs(t, out=t)
+    fallback |= t < _TIE_MARGIN
+    carry = np.flatnonzero(n == 10 ** 17)   # rounded up to 10^17: next k
+    n[carry] = 10 ** 16
+    ki[carry] += 1
+    n *= nonzero                        # 0 -> the digit 0
+    # the leading digit, then digits 2-9 and 10-17 as digit bytes
+    lead = n // 10 ** 16
+    n -= lead * 10 ** 16
+    d1 = n // 10 ** 8
+    n -= d1 * 10 ** 8
+    d1, d2 = _digit_bytes(d1), _digit_bytes(n)
+    lo, hi = tab.keep[0].take(ki), tab.keep[1].take(ki)
+    ki *= 17
+    ki += _shown_bytes(d1, d2)          # the masks' row
+    # words 1-2: the bytes from the dot's on move up one byte
+    lo &= d1
+    d1 ^= lo
+    hi &= d2
+    d2 ^= hi
+    w = d1 << 8
+    w |= lo
+    tab.masks[1].take(ki, out=lo, mode="clip")
+    np.bitwise_or(w, lo, out=words[1])
+    np.left_shift(d2, 8, out=w)
+    w |= hi
+    d1 >>= 56
+    w |= d1
+    tab.masks[2].take(ki, out=d1, mode="clip")
+    np.bitwise_or(w, d1, out=words[2])
+    d2 >>= 56
+    tab.masks[3].take(ki, out=w, mode="clip")
+    w |= tail
+    np.bitwise_or(w, d2, out=words[3])
+    # word 0: the sign and the leading digit
+    lead <<= 48
+    w = x.view(_U64) >> 63
+    w *= ord("-")
+    w |= lead.view(_U64)
+    tab.masks[0].take(ki, out=d2, mode="clip")
+    np.bitwise_or(w, d2, out=words[0])
     for i in np.flatnonzero(fallback):
-        for j, w in enumerate(_fallback(x[i])):
-            words[j][i] = w
-    return words
+        for word, v, end in zip(words, _fallback(x[i]), (0, 0, 0, tail[i])):
+            word[i] = v | end
 
 
 def _fallback(v: float) -> np.ndarray:
@@ -239,18 +326,19 @@ def _fallback(v: float) -> np.ndarray:
 
 
 def _format_rows(cells: np.ndarray, head: bytes, sep: bytes) -> bytes:
-    """Rows of `cells` (rows, cols) as text: `head`, the cells as '%.17g'
-    joined by `sep`, LF."""
+    """Rows of `cells` (rows, cols) as text: `head` (at most 2 bytes), the
+    cells as '%.17g' joined by `sep`, LF.  The kernel writes each cell's
+    words straight into the text buffer."""
     rows, cols = cells.shape
     lead = 1 if head else 0
-    out = np.empty((rows, lead + 4 * cols), _U64)
-    if head:
-        out[:, 0] = int.from_bytes(head, "little")
-    slots = out[:, lead:].reshape(rows, cols, 4)
-    for j, w in enumerate(_g17_words(np.ravel(cells))):
-        slots[:, :, j] = w.reshape(rows, cols)
-    slots[:, :-1, 3] |= _U64(ord(sep) << 56)
-    slots[:, -1, 3] |= _U64(ord("\n") << 56)
+    out = np.empty(lead + 4 * cells.size, _U64)
+    out[:lead] = int.from_bytes(head, "little")
+    # bytes 5-7 of word 3: the separator, or LF and the next row's head
+    ends = np.full(cols, ord(sep) << 40, _U64)
+    ends[-1] = int.from_bytes(b"\n" + head, "little") << 40
+    tail = np.tile(ends, rows)
+    tail[-1] = ord("\n") << 40
+    _g17_words(np.ravel(cells), out[lead:].reshape(-1, 4).T, tail)
     return out.tobytes().translate(None, b"\0")
 
 
@@ -312,25 +400,27 @@ def obj_faces(n_u: int, n_v: int) -> bytes:
     n = (n_u - 1) * (n_v - 1)
     blocks = []
     for start in range(0, n, BLOCK_ROWS):
-        i, j = np.divmod(np.arange(start, min(start + BLOCK_ROWS, n)),
-                         n_v - 1)
-        a = i * n_v + j + 1
+        f = np.arange(start, min(start + BLOCK_ROWS, n))
+        a = f // (n_v - 1) + f + 1          # face f's first corner
         # corners a, a + 1 lie in [lo, lo + m), a + n_v, a + n_v + 1 in
-        # [lo + n_v, lo + n_v + m): format each index of the union once
+        # [lo + n_v, lo + n_v + m): format each index of the union once,
+        # as the text of 10 times it, whose last byte, a '0', becomes the
+        # separator
         lo, m = a[0], a[-1] - a[0] + 2
         step = min(n_v, m)          # from a's text to a + n_v's
-        digits = _uint_words(np.r_[lo:lo + m, lo + n_v + m - step:
-                                   lo + n_v + m].astype(_U64))
+        digits = _uint_words(10 * np.r_[lo:lo + m, lo + n_v + m - step:
+                                        lo + n_v + m].astype(_U64))
         at = (a - lo)[:, None] + np.array([0, step, step + 1, 1])
-        # "f ", then per corner its digit words and " " (the last "\n")
+        # "f ", then per corner its digit words, " " (the last "\n")
         w = len(digits)
-        out = np.empty((len(a), 1 + 4 * (w + 1)), _U64)
+        out = np.empty((len(a), 1 + 4 * w), _U64)
         out[:, 0] = int.from_bytes(b"f ", "little")
-        corners = out[:, 1:].reshape(len(a), 4, w + 1)
-        for c, d in enumerate(digits):
+        corners = out[:, 1:].reshape(len(a), 4, w)
+        for c, d in enumerate(digits[:-1]):
             corners[:, :, c] = d[at]
-        corners[:, :, w] = ord(" ")
-        corners[:, -1, w] = ord("\n")
+        last = digits[-1]
+        corners[:, :3, -1] = (last ^ _U64((0x30 ^ ord(" ")) << 56))[at[:, :3]]
+        corners[:, 3, -1] = (last ^ _U64((0x30 ^ ord("\n")) << 56))[at[:, 3]]
         blocks.append(out.tobytes().translate(None, b"\0"))
     return b"".join(blocks)
 

@@ -398,6 +398,29 @@ def test_mesh_grid_counts(tmp_path):
     assert max(max(f) for f in faces) == len(verts)
 
 
+@pytest.mark.parametrize("plain, written", [
+    ("-0.1", "-1e-1"), ("-0.1", "-1.e-1"), ("-0.1", "-0.01E1"), ("-5", "-5.")])
+def test_v_range_reads_negative_numbers_in_any_float_form(tmp_path, plain,
+                                                          written):
+    cfg = write_config(tmp_path / "cfg.json", sample_count=101)
+    for out, low in (("plain", plain), ("written", written)):
+        assert main(["mesh", "--config", str(cfg), "--out",
+                     str(tmp_path / out), "--v-range", low, "2"]) == 0
+    assert ((tmp_path / "written" / "base.obj").read_bytes()
+            == (tmp_path / "plain" / "base.obj").read_bytes())
+
+
+@pytest.mark.parametrize("low", ["-inf", "-nan", "-1e", "-e1"])
+def test_v_range_non_numbers_still_exit_1(capsys, low):
+    # read as an option, as before: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "--config", "cfg.json", "--v-range", low, "2"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "argument --v-range: expected 2 arguments" in err
+    assert "Traceback" not in err
+
+
 def test_mesh_rows_are_rulings(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", sample_count=101)
     assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path),

@@ -5,6 +5,7 @@ reference here formats value by value, as a row loop would.
 """
 
 import json
+from decimal import Decimal
 from types import SimpleNamespace
 from unittest import mock
 
@@ -176,3 +177,65 @@ def test_readme_cone_needs_no_fallback(tmp_path):
                          "--out", str(tmp_path)]) == 0
     assert (tmp_path / "analysis.csv").stat().st_size > 0
     assert (tmp_path / "base.obj").stat().st_size > 0
+
+
+def test_group_table_is_the_04d_text():
+    # every 4-digit group 0000-9999: its digit bytes in bytes 0-3, the
+    # leading digit first, and nothing above
+    group = io._tables().group
+    assert group.shape == (10 ** 4,) and not (group >> np.uint64(32)).any()
+    text = (group.view(np.uint8).reshape(-1, 8)[:, :4] + 0x30).tobytes()
+    assert text == "".join(format(g, "04d") for g in range(10 ** 4)).encode()
+
+
+@pytest.mark.parametrize("earlier", [0, 1000])
+def test_shown_bytes_end_at_the_last_nonzero_digit(earlier):
+    # each group 0000-9999 at each of the four group positions of digits
+    # 2-17 (the first position holding `earlier` when it is not the one
+    # probed): the count is the group's offset plus its digits up to the
+    # last nonzero one
+    group = io._tables().group
+    sig = np.array([len(format(g, "04d").rstrip("0")) for g in range(10 ** 4)])
+    for pos in range(4):
+        words = [np.zeros(10 ** 4, np.uint64), np.zeros(10 ** 4, np.uint64)]
+        if pos:
+            words[0] |= group[earlier]
+        words[pos // 2] |= group << np.uint64(32 * (pos % 2))
+        want = np.where(sig > 0, 4 * pos + sig, 1 if pos and earlier else 0)
+        assert np.array_equal(io._shown_bytes(*words), want)
+
+
+def _significant(text: str) -> tuple[int, int]:
+    """(decimal exponent, significant digits) of a nonzero number's text."""
+    d = Decimal(text).normalize()
+    return d.adjusted(), len(d.as_tuple().digits)
+
+
+def _last_digit_at(k: int, p: int) -> float:
+    """A float whose '%.17g' text has decimal exponent k and its last
+    significant digit at position p (1-17)."""
+    for lead in range(1, 10):
+        for last in range(1, 10):
+            digits = f"{lead}{'0' * (p - 2)}{last}" if p > 1 else f"{lead}"
+            x = float(f"{digits}e{k - p + 1}")
+            if _significant(format(x, ".17g")) == (k, p):
+                return x
+    raise AssertionError(f"no value with k={k}, p={p}")
+
+
+@pytest.mark.parametrize("form, ks", [
+    ("fixed", range(0, 17)),
+    ("small", range(-4, 0)),
+    ("exponent", [17, 22, 100, 279, -8, -100, -279]),
+])
+def test_last_digit_at_every_position_is_17g(form, ks):
+    values = np.array([s * _last_digit_at(k, p) for k in ks
+                       for p in range(1, 18) for s in (1.0, -1.0)])
+    texts = {format(x, ".17g") for x in values}
+    assert all(("e" in t) == (form == "exponent") for t in texts)
+    assert all(t.lstrip("-").startswith("0.") == (form == "small")
+               for t in texts)
+    values = np.concatenate([values, np.zeros(-len(values) % 4)])
+    with mock.patch.object(io, "_fallback",
+                           side_effect=AssertionError("fallback")):
+        assert _kernel_text(values) == _reference_text(values)
