@@ -161,12 +161,12 @@ def dot3(u: np.ndarray, v: np.ndarray):
     return sum3(p)
 
 
-def sum3(p: np.ndarray) -> np.ndarray:
+def sum3(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """p[0] + p[1] + p[2] of a (3, N) batch, N > 1, bitwise equal to
-    np.sum(p, axis=0).  A column block of such a batch, even one column
-    wide, keeps the batch's bits through it (dot3 would reduce a (3, 1)
-    block as a single vector)."""
-    out = p[0] + p[1]
+    np.sum(p, axis=0), into out if given.  A column block of such a batch,
+    even one column wide, keeps the batch's bits through it (dot3 would
+    reduce a (3, 1) block as a single vector)."""
+    out = np.add(p[0], p[1], out=out)
     out += p[2]
     out += 0.0   # np.sum starts from +0.0, so a sum of -0.0 terms is +0.0
     return out

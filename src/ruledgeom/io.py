@@ -391,6 +391,9 @@ def read_sampled_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ConfigError(f"{path}: non-numeric cell ({exc})") from None
     if rows.shape[1] != 7 or len(rows) < 5:
         raise ConfigError(f"{path}: need at least 5 rows of 7 columns")
+    if not (np.isfinite(rows[:, 0]).all() and (np.diff(rows[:, 0]) > 0).all()):
+        raise ConfigError(
+            f"{path}: column u must be finite and strictly increasing")
     return rows[:, 0], rows[:, 1:4], rows[:, 4:7]
 
 

@@ -23,15 +23,14 @@ re-analyzed through the full pipeline with finite differences only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .dual import DualScalar, cross3, norm3
 from .errors import ConfigError, DegenerateIndicatrix, DegenerateOffset
 from .surface import (DEGENERATE_SIGMA, DualCurvatureInvariants,
-                      SurfaceAnalysis, _blocks, _fd1, _interior, analyze,
-                      spline_surface)
+                      Measurement, SurfaceAnalysis, _blocks, _fd1, _interior,
+                      analyze, spline_surface)
 
 # Guard bands for the closed-form offset invariants (they divide by gamma
 # and by tan/cot of theta, which the formulas leave undefined at zero).
@@ -112,7 +111,7 @@ def construct_offset(analysis: SurfaceAnalysis,
     cos_bar = DualScalar(cos, -th.dual * sin)
     sin_bar = DualScalar(sin, th.dual * cos)
     e1, c1 = np.empty((3, a.n)), np.empty((3, a.n))
-    transport = []
+    transport = Measurement("striction transport")
     for sl in _blocks(a.n):
         e_t, t_t, _ = a.dual_frame(sl)
         ruling = cos_bar.cols(sl) * e_t + sin_bar.cols(sl) * t_t
@@ -121,19 +120,19 @@ def construct_offset(analysis: SurfaceAnalysis,
         # dual part of the rotated dual ruling must equal c1 x e1
         defect = cross3(c1_b, e1_b)
         np.subtract(ruling.dual, defect, out=defect)
-        transport.append(np.max(norm3(defect)))
+        transport = transport.merged(norm3(defect), start=sl.start)
     e1.flags.writeable = c1.flags.writeable = False
 
-    # np.max, not max(): a NaN speed must not read as degenerate
-    sigma1_max = np.max([np.max(norm3(_fd1(e1, a.h, sl)))
-                         for sl in _blocks(a.n)])
-    if sigma1_max < DEGENERATE_SIGMA:
+    speed = Measurement("offset indicatrix speed")
+    for sl in _blocks(a.n):
+        speed = speed.merged(norm3(_fd1(e1, a.h, sl)), start=sl.start)
+    if speed.deviation < DEGENERATE_SIGMA:   # a NaN speed is not degenerate
         raise DegenerateOffset(
             "offset indicatrix is singular everywhere: the rotated director "
             "does not move (|e1'| = 0, e.g. gamma*sin(theta) = 0 identically)")
     return ConstructedOffset(
         theta_bar=th, cos_bar=cos_bar, sin_bar=sin_bar, e1=e1, c1=c1,
-        transport_residual=float(np.max(transport)))
+        transport_residual=transport.deviation)
 
 
 @dataclass(frozen=True)
@@ -184,16 +183,6 @@ def predicted_invariants(analysis: SurfaceAnalysis, theta_bar: DualScalar,
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    """One predicted-vs-recomputed quantity, maxed over valid samples
-    (None when no sample was compared)."""
-
-    name: str
-    deviation: Optional[float]   # max |predicted - recomputed|
-    n_compared: int
-
-
-@dataclass(frozen=True)
 class OffsetReport:
     """Measurements from re-analyzing a constructed offset from scratch;
     `io.render_offset_report` judges them against the tolerances."""
@@ -203,7 +192,7 @@ class OffsetReport:
     offset_invariants: DualCurvatureInvariants
     mannheim_residual_real: float
     mannheim_residual_dual: float
-    rows: tuple[ComparisonRow, ...]
+    rows: tuple[Measurement, ...]   # max |predicted - recomputed|
     base_max_abs_Delta: float
     offset_max_abs_Delta: float
     n_valid: int
@@ -237,12 +226,11 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
 
     pred = predicted_invariants(a, th, built.cos_bar, built.sin_bar)
     inv = off.invariants()
-    names = ("ds1/ds", "dsbar1/dsbar (dual part)", "gamma1", "Delta1",
-             "delta1", "R1 (real)", "R1 (dual)", "rho1 (angle)",
-             "rho1 (distance)", "d0_1 (real)", "d0_1 (dual)")
-    maxima = [[] for _ in names]
-    counts = [0] * len(names)
-    mann_real, mann_dual = [], []
+    rows = [Measurement(name) for name in (
+        "ds1/ds", "dsbar1/dsbar (dual part)", "gamma1", "Delta1", "delta1",
+        "R1 (real)", "R1 (dual)", "rho1 (angle)", "rho1 (distance)",
+        "d0_1 (real)", "d0_1 (dual)")]
+    mann = [Measurement("mannheim (real)"), Measurement("mannheim (dual)")]
     n_valid = 0
 
     for sl in _blocks(a.n):
@@ -261,12 +249,8 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         # normal of the recomputed offset (the interior is never empty:
         # n >= 5).
         base_g = a.dual_frame(sl)[2]
-        for maxed, base_part, off_part in (
-                (mann_real, base_g.real, t1.real),
-                (mann_dual, base_g.dual, t1.dual)):
-            r = norm3(base_part - off_part)[interior]
-            if r.size:
-                maxed.append(np.max(np.abs(r)))
+        mann = [m.merged(norm3(x - y), interior, sl.start) for m, x, y in zip(
+            mann, (base_g.real, base_g.dual), (t1.real, t1.dual))]
 
         speed_ratio = off.sigma[sl] / a.sigma[sl]
         # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
@@ -286,32 +270,17 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
             (pred.rho1.dual[sl], inv.rho.dual[sl]),
             (norm3(d0_pred.real - d0_rec.real), 0.0),
             (norm3(d0_pred.dual - d0_rec.dual), 0.0))
-        for k, (predicted, recomputed) in enumerate(pairs):
-            # a guarded prediction is NaN outside its guard band
-            mask = base_ok & np.isfinite(predicted)
-            count = np.count_nonzero(mask)
-            if count:
-                deviation = np.abs(predicted - recomputed)
-                maxima[k].append(np.max(
-                    deviation if count == len(mask) else deviation[mask]))
-            counts[k] += count
+        # a guarded prediction is NaN outside its guard band
+        rows = [row.merged(np.abs(p - r), base_ok & np.isfinite(p), sl.start)
+                for row, (p, r) in zip(rows, pairs)]
 
-    rows = tuple(ComparisonRow(name=name, deviation=_merged_max(m),
-                               n_compared=int(count))
-                 for name, m, count in zip(names, maxima, counts))
     return OffsetReport(
         constructed=built, offset_analysis=off, offset_invariants=inv,
-        mannheim_residual_real=_merged_max(mann_real),
-        mannheim_residual_dual=_merged_max(mann_dual), rows=rows,
+        mannheim_residual_real=mann[0].deviation,
+        mannheim_residual_dual=mann[1].deviation, rows=tuple(rows),
         base_max_abs_Delta=float(np.max(np.abs(a.Delta))),
         offset_max_abs_Delta=float(np.max(np.abs(off.Delta))),
         n_valid=int(n_valid))
-
-
-def _merged_max(maxima: list) -> Optional[float]:
-    """The maximum of block maxima, None when no block had a sample
-    (np.max, not max(): a NaN must propagate)."""
-    return float(np.max(maxima)) if maxima else None
 
 
 def flattening_profile(analysis: SurfaceAnalysis, theta) -> np.ndarray:

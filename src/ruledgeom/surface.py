@@ -36,11 +36,11 @@ The per-sample arithmetic (the grid differences, striction curve, frame
 and invariants of `analyze`, all of `frame_ode_residual`, and in
 offsets.py the offset construction and comparison rows) runs in column
 blocks of BLOCK samples, whose (3, BLOCK) temporaries stay in a 2-MB L2
-cache; results go into the full arrays, and block maxima and counts are
-merged.  Each element goes through the same ufuncs either way, so the
-block size changes no bit, only the speed: it is a constant, not a
-setting (8192 measured faster than 2048 and 32768; n <= BLOCK is one
-block).  Oracles and quadrature run on the whole grid.
+cache; results go into the full arrays, and each maximum is a Measurement
+merged block by block.  Each element goes through the same ufuncs
+either way, so the block size changes no bit, only the speed: it is a
+constant, not a setting (8192 measured faster than 2048 and 32768;
+n <= BLOCK is one block).  Oracles and quadrature run on the whole grid.
 
 scipy: scipy.linalg is imported with this module; its LAPACK dgtsv solves
 the band system of an offset's or a sampled surface's spline last node
@@ -100,6 +100,37 @@ def _cols(sl: slice, *arrays) -> tuple:
     if sl == slice(None):
         return arrays
     return tuple(x[..., sl] for x in arrays)
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """The maximum of a quantity over the samples it was compared on
+    (deviation), their count, and the grid index of the first of them that
+    reads the maximum (worst; the first NaN for a NaN maximum).  Built
+    block by block (merged); no compared sample reads (None, 0, None)."""
+
+    name: str
+    deviation: Optional[float] = None
+    n_compared: int = 0
+    worst: Optional[int] = None
+
+    def merged(self, values: np.ndarray, kept=slice(None),
+               start: int = 0) -> "Measurement":
+        """This record merged with the block values[kept] (kept: a slice or
+        a boolean mask) whose first column is grid index start.  A NaN
+        propagates and of equal maxima the earlier wins: the whole row's
+        first maximum, bit for bit (np.max picks -0.0 or +0.0 by order)."""
+        block = values[kept]
+        if not block.size:
+            return self
+        i = int(np.argmax(block))   # the first NaN, if there is one
+        top, d = float(block[i]), self.deviation
+        count = self.n_compared + block.size
+        if d is not None and (np.isnan(d) or top <= d):
+            return Measurement(self.name, d, count, self.worst)
+        index = (range(len(values))[kept] if isinstance(kept, slice)
+                 else np.flatnonzero(kept))
+        return Measurement(self.name, top, count, start + int(index[i]))
 
 
 @dataclass
@@ -521,12 +552,12 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     u, h = _grid_of(spec)
     n = len(u)
     e = _eval_curve(spec.director, u)
-    # np.max, not max(): a NaN defect must fail the guard below
-    unit_defect = np.max([np.max(np.abs(norm3(e[:, sl]) - 1.0))
-                          for sl in _blocks(n)])
-    if not unit_defect <= DIRECTOR_UNIT_TOL:   # guards fail on NaN too
-        raise ValueError(
-            f"director is not a unit field (max defect {unit_defect:.3e})")
+    unit = Measurement("director unit defect")
+    for sl in _blocks(n):
+        unit = unit.merged(np.abs(norm3(e[:, sl]) - 1.0), start=sl.start)
+    if not unit.deviation <= DIRECTOR_UNIT_TOL:   # guards fail on NaN too
+        raise ValueError("director is not a unit field "
+                         f"(max defect {unit.deviation:.3e})")
     # derivatives without an oracle are formed per block (_grid_derivative)
     e_u, e_uu = (None if fn is None else _eval_curve(fn, u)
                  for fn in (spec.director_d1, spec.director_d2))
@@ -651,16 +682,14 @@ def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
     differences otherwise.  END_TRIM samples at each end are excluded.
     The real row de/ds = t is not formed: `analyze` defines t as e_u/sigma,
     so its defect is 0 by construction, and real_max comes from the t and
-    g equations.  A NaN defect in any row reads as a NaN maximum.  Each
-    column block holds three (3, BLOCK) temporaries at a time."""
+    g equations.  A block holds three (3, BLOCK) temporaries at a time."""
     a = analysis
-    real, dual, ortho = [], [], []
+    rows = {name: Measurement(name) for name in ("real", "dual", "ortho")}
     for sl in _blocks(a.n):
-        _frame_ode_block(a, sl, real, dual, ortho)
-    # np.max, not max(): a NaN defect must propagate
-    return FrameOdeResiduals(real_max=float(np.max(real)),
-                             dual_max=float(np.max(dual)),
-                             orthonormality_max=float(np.max(ortho)))
+        for name, values, kept in _frame_ode_block(a, sl):
+            rows[name] = rows[name].merged(values, kept, sl.start)
+        del values   # the block's scratch: free it before the next block
+    return FrameOdeResiduals(*(row.deviation for row in rows.values()))
 
 
 def _add_product(y: np.ndarray, s: np.ndarray, v: np.ndarray) -> None:
@@ -684,26 +713,24 @@ def _subtract_cross(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             y[k, lo:hi] -= m[k]
 
 
-def _frame_ode_block(a: SurfaceAnalysis, sl: slice, real: list,
-                     dual: list, ortho: list) -> None:
-    """Append the block maxima of frame_ode_residual's rows on the columns
-    sl to real, dual and ortho (the first two only from samples outside
-    the END_TRIM ends).  Every temporary is written in place, in the order
-    of operations of the rows' formulas; each moment c x v of the dual
-    frame is formed into a scratch array just before the row that reads
-    it (the e moment a third at a time: the three scratch arrays are in
-    use there)."""
+def _scratch_norm3(x: np.ndarray) -> np.ndarray:
+    """The column norms of a (3, w) block x through sum3, in x[0]."""
+    sum3(np.multiply(x, x, out=x), out=x[0])
+    return np.sqrt(x[0], out=x[0])
+
+
+def _frame_ode_block(a: SurfaceAnalysis, sl: slice):
+    """Yield (row, values, kept samples) of frame_ode_residual's rows on
+    the columns sl, values in scratch memory: the frame equations' defects
+    outside the END_TRIM ends, and every orthonormality defect.  Every
+    temporary is written in place, in the order of operations of the
+    rows' formulas; each moment c x v of the dual frame is formed into a
+    scratch array just before the row that reads it (the e moment a third
+    at a time: the three scratch arrays are in use there)."""
     e, t, g, c, sigma, gamma, gamma_dual, Delta = _cols(
         sl, a.e, a.t, a.g, a.c, a.sigma, a.gamma, a.gamma_dual, a.Delta)
     c_u = a.derivative("c_u", sl)
     keep = _interior(sl, a.n)
-
-    def norm_max(x, maxima):
-        """Append max |x| over the kept samples; x, (3, w), is scratch."""
-        r = sum3(np.multiply(x, x, out=x))
-        np.sqrt(r, out=r)
-        if r[keep].size:
-            maxima.append(np.max(r[keep]))
 
     # dual parts evolve in the dual arc length: divide by
     # sigma*(1 + eps*Delta), whose inverse has real part 1/sigma
@@ -739,7 +766,7 @@ def _frame_ode_block(a: SurfaceAnalysis, sl: slice, real: list,
     np.multiply(gamma, g, out=y)
     y -= e
     x -= y
-    norm_max(x, real)
+    yield "real", _scratch_norm3(x), keep
     # dual part, against gamma_bar*g~ - e~
     d_dsbar_dual(t_u, t, x, y)
     g_s = cross3(c, g, out=y)
@@ -747,7 +774,7 @@ def _frame_ode_block(a: SurfaceAnalysis, sl: slice, real: list,
     _add_product(y, gamma_dual, g)
     _subtract_cross(y, c, e)
     x -= y
-    norm_max(x, dual)
+    yield "dual", _scratch_norm3(x), keep
 
     if analytic:
         g_u = cross3(e_u, t, out=y)
@@ -758,29 +785,26 @@ def _frame_ode_block(a: SurfaceAnalysis, sl: slice, real: list,
     # real part, dg/ds = -gamma*t
     np.divide(g_u, sigma, out=x)
     x += np.multiply(gamma, t, out=w)
-    norm_max(x, real)
+    yield "real", _scratch_norm3(x), keep
     # dual part, against -gamma_bar*t~, whose dual part is gbar_t
     d_dsbar_dual(g_u, g, x, w)
     t_s = cross3(c, t, out=y)                  # g_u is no longer read
     np.multiply(gamma, t_s, out=w)
     _add_product(w, gamma_dual, t)
     x += w
-    norm_max(x, dual)
+    yield "dual", _scratch_norm3(x), keep
     # de/ds~ = t~ (dual part); on the sampled path e_u is formed here
     d_dsbar_dual(a.derivative("e_u", sl), e, x, w)
     x -= t_s
-    norm_max(x, dual)
+    yield "dual", _scratch_norm3(x), keep
 
-    def ortho_max(u, v=None):
-        """Append max |<u, v>|, or max ||u| - 1| without v."""
-        r = sum3(np.multiply(u, u if v is None else v, out=x))
-        if v is None:
+    # |<u, v>|, and ||u| - 1| for v = u
+    for u, v in ((e, t), (t, g), (e, g), (e, e), (t, t), (g, g)):
+        r = sum3(np.multiply(u, v, out=x), out=x[0])
+        if u is v:
             np.sqrt(r, out=r)
             r -= 1.0
-        ortho.append(np.max(np.abs(r, out=r)))
-
-    for vectors in ((e, t), (t, g), (e, g), (e,), (t,), (g,)):
-        ortho_max(*vectors)
+        yield "ortho", np.abs(r, out=r), slice(None)
 
 
 def spline_surface(u: np.ndarray, e: np.ndarray, p: np.ndarray,

@@ -351,3 +351,59 @@ def test_verify_offset_peaks_below_20_vector_fields():
     a = analyze(small_circle(MEMORY_N))
     _, _, peak = traced(lambda: verify_offset(a, OFFSETS["theorem"]))
     assert peak < 20 * a.e.nbytes
+
+
+# -- where each row peaks ----------------------------------------------------
+
+def ref_row_values(a, off, built) -> dict:
+    """Each OffsetReport row's |predicted - recomputed| on the whole grid
+    and the mask of the samples it compares (ref_comparison's rows)."""
+    th, cos_bar, sin_bar = (built[k] for k in ("theta_bar", "cos_bar",
+                                               "sin_bar"))
+    pred = predicted_invariants(a, th, cos_bar, sin_bar)
+    inv = off.invariants()
+    base_ok = np.zeros(a.n, dtype=bool)
+    base_ok[END_TRIM:a.n - END_TRIM] = True
+    base_ok &= (th.real > THETA_BAND) & (th.real < np.pi - THETA_BAND)
+    speed_ratio = off.sigma / a.sigma
+    e1_t, _, g1_t = off.dual_frame()
+    d0_pred = cos_bar * e1_t + sin_bar * g1_t
+    d0_rec = inv.cos_rho * e1_t + inv.R * g1_t
+    pairs = {
+        "ds1/ds": (pred.dsbar1_dsbar.real, speed_ratio),
+        "dsbar1/dsbar (dual part)": (pred.dsbar1_dsbar.dual,
+                                     speed_ratio * (off.Delta - a.Delta)),
+        "gamma1": (pred.gamma1, off.gamma),
+        "Delta1": (pred.Delta1, off.Delta),
+        "delta1": (pred.delta1, off.delta),
+        "R1 (real)": (pred.R1.real, inv.R.real),
+        "R1 (dual)": (pred.R1.dual, inv.R.dual),
+        "rho1 (angle)": (pred.rho1.real, inv.rho.real),
+        "rho1 (distance)": (pred.rho1.dual, inv.rho.dual),
+        "d0_1 (real)": (norm3(d0_pred.real - d0_rec.real), 0.0),
+        "d0_1 (dual)": (norm3(d0_pred.dual - d0_rec.dual), 0.0)}
+    return {name: (np.abs(p - r), base_ok & np.isfinite(p))
+            for name, (p, r) in pairs.items()}
+
+
+# the README cone's theorem offset at n = 2001, and the block seams
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("n", (2001, BLOCK - 1, BLOCK + 1, BLOCK + 2,
+                               BLOCK + 3, 2 * BLOCK + 1))
+@pytest.mark.parametrize("base", BASES)
+def test_each_row_records_where_it_peaks(base, n, offset):
+    a = analyze(spec_of(base, n))
+    spec = OFFSETS[offset]
+    rep = verify_offset(a, spec)
+    ref = ref_row_values(a, rep.offset_analysis, ref_construct(a, spec))
+    assert [row.name for row in rep.rows] == list(ref)
+    for row in rep.rows:
+        values, mask = ref[row.name]
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            assert (row.deviation, row.n_compared, row.worst) == (None, 0,
+                                                                  None)
+            continue
+        assert row.worst == idx[np.argmax(values[idx])], row.name
+        assert END_TRIM <= row.worst < n - END_TRIM
+        assert bits(row.deviation) == bits(values[row.worst])

@@ -623,6 +623,29 @@ def test_nan_sampled_director_exits_1(tmp_path, capsys):
         "error: sampled directors are not unit vectors\n")
 
 
+@pytest.mark.parametrize("bad_u", [
+    {4: "nan"},                     # not finite
+    {5: "0.4"},                     # repeats sample 4's u
+    {4: "0.5", 5: "0.4"},           # decreases
+])
+def test_a_bad_u_column_names_the_csv(tmp_path, capsys, bad_u):
+    # at the grid spline these read "`x` must contain only finite values."
+    # and "`x` must be strictly increasing sequence.", naming no file
+    sampled = tmp_path / "sampled.csv"
+    rows = ["u,ex,ey,ez,px,py,pz"]
+    for i, u in enumerate(np.linspace(0.0, 1.0, 11).tolist()):
+        cell = bad_u.get(i, repr(u))
+        rows.append(f"{cell},{np.cos(u).item()!r},{np.sin(u).item()!r},0,"
+                    f"0,0,{u!r}")
+    sampled.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"sampled_csv": str(sampled)}}))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {sampled}: column u must be finite and strictly "
+        "increasing\n")
+
+
 def test_read_sampled_csv_rejects_bad_header(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("u,ex,ey,ez\n0,1,0,0\n")

@@ -15,11 +15,10 @@ from ruledgeom.config import Tolerances
 from ruledgeom.dual import DualScalar, dual_angle, dual_cos, dual_mul, dual_sin
 from ruledgeom.errors import DegenerateOffset
 from ruledgeom.io import render_offset_report
-from ruledgeom.offsets import (SIN_MIN, ComparisonRow, OffsetSpec,
-                               construct_offset, flattening_profile,
-                               offset_angle, predicted_invariants,
-                               verify_offset)
-from ruledgeom.surface import analyze
+from ruledgeom.offsets import (SIN_MIN, OffsetSpec, construct_offset,
+                               flattening_profile, offset_angle,
+                               predicted_invariants, verify_offset)
+from ruledgeom.surface import Measurement, analyze
 
 SQ2 = np.sqrt(2.0)
 
@@ -246,7 +245,7 @@ def test_report_fails_a_theorem_row_that_compares_no_sample():
     text, ok = render_offset_report(0, spec, rep, Tolerances())
     assert ok and "FAIL" not in text
     # the same report with the Delta1 row excluded entirely by the guards
-    rows = [ComparisonRow(r.name, None, 0) if r.name == "Delta1" else r
+    rows = [Measurement(r.name, None, 0) if r.name == "Delta1" else r
             for r in rep.rows]
     excluded = dataclasses.replace(rep, rows=rows)
     text2, ok2 = render_offset_report(0, spec, excluded, Tolerances())
