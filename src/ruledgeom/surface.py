@@ -42,32 +42,61 @@ either way, so the block size changes no bit, only the speed: it is a
 constant, not a setting (8192 measured faster than 2048 and 32768;
 n <= BLOCK is one block).  Oracles and quadrature run on the whole grid.
 
-scipy: scipy.linalg is imported with this module; its LAPACK dgtsv solves
-the band system of an offset's or a sampled surface's spline last node
-(`offset`, sampled configs), and `analyze`, `mesh` and `verify` on a
-builtin only import it.  The Hermite maps of the chain-rule check and the
-last piece of a spline are formed and evaluated by two kernels here that
-repeat scipy 1.17.1's CubicHermiteSpline and PPoly arithmetic bit for bit
-(_hermite_coefficients, _ppoly_evaluate).  A spline surface is grid-bound:
-its callables read the spline at its sample grid and raise off it, so the
-package fits no spline and never imports scipy's interpolation subpackage.
-scipy.linalg stays eager on purpose: deferring it too made every job
-faster but moved the heap state that the benchmark's reference pass runs
-in (CHANGES.md).
+scipy: of scipy's compiled code the package calls one routine, LAPACK
+dgtsv, which solves the band system of an offset's or a sampled
+surface's spline last node (`offset`, sampled configs).  This module
+loads scipy's LAPACK extension module, scipy.linalg._flapack, from its
+file at import (_load_flapack) and never imports the scipy.linalg
+package, whose __init__ would add about 0.3 s and 24 MiB to start-up
+(2-core x86-64 VM); the routine is the object scipy.linalg.lapack.dgtsv,
+so its bits are scipy's.  A missing file is an ImportError that names
+it.  The Hermite maps of the chain-rule check and the last piece of a
+spline are formed and evaluated by two kernels here that repeat scipy
+1.17.1's CubicHermiteSpline and PPoly arithmetic bit for bit
+(_hermite_coefficients, _ppoly_evaluate).  A spline surface is
+grid-bound: its callables read the spline at its sample grid and raise
+off it, so the package fits no spline and never imports scipy's
+interpolation subpackage.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from .dual import (DualScalar, cross3, dot3, dual_cos, dual_div, dual_sin,
                    dual_sqrt, norm3, read_only, sum3)
 from .errors import DegenerateIndicatrix
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, scipy's LAPACK extension module, loaded from
+    its file and registered under that name without running
+    scipy/linalg/__init__: a later `import scipy.linalg` reuses it, and
+    one that scipy.linalg loaded before is reused here."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+                            "_flapack" + EXTENSION_SUFFIXES[0])
+        if not os.path.isfile(path):
+            raise ImportError(f"scipy's LAPACK module {path} is missing",
+                              name=name, path=path)
+        loader = ExtensionFileLoader(name, path)
+        module = module_from_spec(spec_from_loader(name, loader))
+        sys.modules[name] = module
+        loader.exec_module(module)
+    return sys.modules[name]
+
+
+dgtsv = _load_flapack().dgtsv
 
 # Indicatrix speeds below this mean the director is (locally) constant.
 DEGENERATE_SIGMA = 1e-9
@@ -308,7 +337,8 @@ def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> tuple:
     at the nodes, with its input checks and its not-a-knot band system
     (scipy 1.17.1).  The right-hand side is built in the (3, n) layout; its
     transpose, a Fortran-ordered (n, 3) array, goes to LAPACK dgtsv (the
-    routine solve_banded calls for a (1, 1) band), which solves it in
+    routine solve_banded calls for a (1, 1) band, taken from scipy's
+    _flapack module without importing scipy.linalg), which solves it in
     place, and s is that transpose."""
     n = len(u)
     if n < 2:

@@ -39,6 +39,13 @@ class Check:
         return self.measured <= self.tolerance
 
 
+def _max_abs(*parts) -> float:
+    """The largest |x| over every element of the parts; a NaN in any part
+    reads NaN (Python's max() drops a NaN that is not its first argument,
+    so a check on it would pass)."""
+    return float(np.max([np.max(np.abs(p)) for p in parts]))
+
+
 def _c(name: str, measured: float | None, tol: float) -> Check:
     """None, a Measurement's maximum over no sample, reads NaN: it fails."""
     measured = np.nan if measured is None else measured
@@ -91,7 +98,7 @@ def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
 
     h = 1e-5
     star = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
-    worst = 0.0
+    rels = []
     for fname, f, fp, lo, hi in [
             ("sin", np.sin, np.cos, -3.0, 3.0),
             ("cos", np.cos, lambda t: -np.sin(t), -3.0, 3.0),
@@ -99,11 +106,10 @@ def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
             ("sqrt", np.sqrt, lambda t: 0.5 / np.sqrt(t), 0.1, 10.0)]:
         x = DualScalar(rng.uniform(lo, hi, n), star)
         fd = (f(x.real + h) - f(x.real - h)) / (2.0 * h)
-        rel = np.max(np.abs(lift(f, fp, x).dual - x.dual * fd)
-                     / np.abs(x.dual))
-        worst = max(worst, float(rel))
+        rels.append(np.abs(lift(f, fp, x).dual - x.dual * fd)
+                    / np.abs(x.dual))
     out.append(_c("algebra: lifted derivative vs central difference "
-                  "(relative, h=1e-5)", worst, tol.lift_fd_rel))
+                  "(relative, h=1e-5)", _max_abs(*rels), tol.lift_fd_rel))
 
     def rand_dv():
         return DualScalar(rng.uniform(-2, 2, (n, 3)).T,
@@ -124,7 +130,7 @@ def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
                     rng.uniform(-3, 3, (n, 3)).T)
     nn = dual_norm(dual_normalize(vc))
     out.append(_c("algebra: dual_normalize yields norm 1 + eps*0",
-                  max(np.max(np.abs(nn.real - 1.0)), np.max(np.abs(nn.dual))),
+                  _max_abs(nn.real - 1.0, nn.dual),
                   tol.normalize_unit))
     return out
 
@@ -138,8 +144,7 @@ def suite_line_correspondence(tol, seed, analyses) -> list[Check]:
     duals = line_to_dual(lines)
     a, m = duals.real, duals.dual
 
-    constraint = max(np.max(np.abs(row_dot(a, a) - 1.0)),
-                     np.max(np.abs(row_dot(a, m))))
+    constraint = _max_abs(row_dot(a, a) - 1.0, row_dot(a, m))
     back = dual_to_line(duals)
     direction = np.max(np.abs(back.direction - lines.direction))
     foot = np.max(lines.distance_to_point(back.point))
@@ -168,9 +173,8 @@ def suite_saddle_reproduction(tol, seed, analyses) -> list[Check]:
     g_want = np.array([[-SQ2 / 2.0], [-SQ2 / 2.0], [0.0]])
     i0 = a.n // 2
     e_tilde, _, _ = a.dual_frame()
-    ruling_dev = max(
-        float(np.max(np.abs(e_tilde.real[:, i0] - [SQ2 / 2, -SQ2 / 2, 0]))),
-        float(np.max(np.abs(e_tilde.dual[:, i0]))))
+    ruling_dev = _max_abs(e_tilde.real[:, i0] - [SQ2 / 2, -SQ2 / 2, 0],
+                          e_tilde.dual[:, i0])
     return [
         _c("saddle: asymptotic normal constant (-sqrt2/2, -sqrt2/2, 0)",
            np.max(np.abs(a.g - g_want)), tol.example_g),
@@ -265,7 +269,7 @@ def _pipeline_checks(label: str, a, tol: Tolerances,
     trim = slice(END_TRIM, a.n - END_TRIM)
     e_tilde, t_tilde, _ = a.dual_frame()
     ee = dual_dot(e_tilde, e_tilde)
-    unit_dev = max(np.max(np.abs(ee.real - 1.0)), np.max(np.abs(ee.dual)))
+    unit_dev = _max_abs(ee.real - 1.0, ee.dual)
 
     c_s = a.derivative("c_u") / a.sigma
     ortho = Measurement("ortho").merged(np.abs(dot3(c_s, a.t)), trim).deviation
@@ -323,10 +327,8 @@ def suite_pipeline(tol, seed, analyses) -> list[Check]:
                   ode.dual_max, tol.frame_ode_sampled))
 
     b = analyze(_shifted_base_saddle(saddle))
-    inv_dev = max(float(np.max(np.abs(b.c - base.c))),
-                  float(np.max(np.abs(b.Delta - base.Delta))),
-                  float(np.max(np.abs(b.delta - base.delta))),
-                  float(np.max(np.abs(b.gamma - base.gamma))))
+    inv_dev = _max_abs(b.c - base.c, b.Delta - base.Delta,
+                       b.delta - base.delta, b.gamma - base.gamma)
     out.append(_c("saddle: striction/invariants unchanged when the base "
                   "curve slides along the rulings", inv_dev,
                   tol.striction_invariance))
