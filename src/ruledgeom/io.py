@@ -394,6 +394,8 @@ def read_sampled_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (np.isfinite(rows[:, 0]).all() and (np.diff(rows[:, 0]) > 0).all()):
         raise ConfigError(
             f"{path}: column u must be finite and strictly increasing")
+    if not np.isfinite(rows[:, 4:7]).all():
+        raise ConfigError(f"{path}: columns px, py, pz must be finite")
     return rows[:, 0], rows[:, 1:4], rows[:, 4:7]
 
 

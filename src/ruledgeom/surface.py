@@ -32,8 +32,8 @@ halo its stencils read).  Each formed element goes through the same
 ufuncs whatever the columns, so a block has the bits of the same columns
 of the whole field.
 
-The per-sample arithmetic (the grid differences, striction curve, frame
-and invariants of `analyze`, all of `frame_ode_residual`, and in
+The per-sample arithmetic (`analyze`'s two passes, speed with its guard
+and striction curve, then frame and invariants; `frame_ode_residual`; in
 offsets.py the offset construction and comparison rows) runs in column
 blocks of BLOCK samples, whose (3, BLOCK) temporaries stay in a 2-MB L2
 cache; results go into the full arrays, and each maximum is a Measurement
@@ -578,7 +578,14 @@ def _grid_of(spec: SurfaceSpec) -> tuple[np.ndarray, float]:
 
 def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     """Run the full pipeline: reparametrization, striction curve, geodesic
-    frame and invariants on the sample grid."""
+    frame and invariants on the sample grid, in two block passes.
+
+    Guard order: the director's unit defect, before any other callable;
+    every oracle's call (so a base that raises, on its shape say, does so
+    before a degenerate director is found); then, per block of the
+    striction pass and before it divides, the speed: DegenerateIndicatrix
+    with the block's minimum below DEGENERATE_SIGMA (or NaN), ValueError
+    where it is infinite."""
     u, h = _grid_of(spec)
     n = len(u)
     e = _eval_curve(spec.director, u)
@@ -593,15 +600,6 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
                  for fn in (spec.director_d1, spec.director_d2))
 
     sigma = np.empty(n)
-    for sl in _blocks(n):
-        sigma[sl] = norm3(_grid_derivative(sl, h, e, e_u))
-    if not np.min(sigma) >= DEGENERATE_SIGMA:
-        raise DegenerateIndicatrix(
-            f"indicatrix speed falls to {np.min(sigma):.3e}: the director "
-            "is (locally) constant")
-    if not np.isfinite(sigma).all():   # +inf passes the guard above
-        raise ValueError("surface oracles returned non-finite samples")
-
     p = _eval_curve(spec.base, u)
     p_u = _eval_curve(spec.base_d1, u) if spec.base_d1 is not None else None
     analytic = spec.has_analytic_frame
@@ -611,13 +609,21 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
     c_u = np.empty((3, n)) if analytic else None
     delta, Delta, gamma, gamma_dual, Delta_sigma = (
         np.empty(n) for _ in range(5))
-    finite = True
 
-    def striction(sl):
-        """c = p + lam e with lam = -<p', e'>/sigma^2, and its analytic
-        derivative c_u when the oracles give one."""
-        eb, sig = _cols(sl, e, sigma)
+    # speed sigma = |e'| and striction curve c = p + lam e, lam =
+    # -<p', e'>/sigma^2, with its analytic derivative c_u when the oracles
+    # give one (c_u is otherwise differenced from c, so every block of c
+    # comes before the frame)
+    for sl in _blocks(n):
         eub = _grid_derivative(sl, h, e, e_u)
+        sig = sigma[sl] = norm3(eub)
+        if not np.min(sig) >= DEGENERATE_SIGMA:
+            raise DegenerateIndicatrix(
+                f"indicatrix speed falls to {np.min(sig):.3e}: the director "
+                "is (locally) constant")
+        if not np.isfinite(sig).all():   # +inf passes the guard above
+            raise ValueError("surface oracles returned non-finite samples")
+        eb = e[:, sl]
         pub = _grid_derivative(sl, h, p, p_u)
         sig2 = sig * sig
         pu_eu = dot3(pub, eub)
@@ -630,9 +636,9 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
                      + 2.0 * pu_eu * sig_u / (sig2 * sig))
             np.add(pub + lam_u * eb, lam * eub, out=c_u[:, sl])
 
-    def frame(sl):
-        """t = de/ds, g = e x t and the invariants."""
-        nonlocal finite
+    # frame t = de/ds, g = e x t and the invariants
+    finite = True
+    for sl in _blocks(n):
         eb, cb, sig = _cols(sl, e, c, sigma)
         eub = _grid_derivative(sl, h, e, e_u)
         euub = _grid_derivative(sl, h, e, e_u, e_uu)
@@ -649,17 +655,6 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         # a NaN or inf from any oracle reaches c or gamma (checked below,
         # after the arc length)
         finite = finite and np.isfinite(cb).all() and np.isfinite(gmb).all()
-
-    if analytic:
-        for sl in _blocks(n):
-            striction(sl)
-            frame(sl)
-    else:
-        # c_u is differenced from c, so every block of c comes first
-        for sl in _blocks(n):
-            striction(sl)
-        for sl in _blocks(n):
-            frame(sl)
 
     integrate = simpson_integrator(u)
     s = integrate(sigma)

@@ -10,25 +10,28 @@ lies wholly inside the END_TRIM end; at n = BLOCK + 1 to BLOCK + 3 it is
 narrower than the 2-column halo from which a second derivative without an
 oracle is formed (surface._grid_derivative), and BLOCK + 2 is an even n.
 tracemalloc bounds what an analysis holds and what the frame-ODE check and
-verify_offset allocate, in units of one (3, n) field.
+verify_offset allocate, in units of one (3, n) field.  The indicatrix speed
+is guarded per block, before the block's striction arithmetic divides by it.
 """
 
 import dataclasses
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from ruledgeom import catalog
 from ruledgeom.dual import DualScalar, cross3, dot3, dual_div, norm3
+from ruledgeom.errors import DegenerateIndicatrix
 from ruledgeom.offsets import (THETA_BAND, OffsetSpec, construct_offset,
                                offset_angle, predicted_invariants,
                                verify_offset)
-from ruledgeom.surface import (BLOCK, END_TRIM, _blocks, _eval_curve,
-                               _grid_of, analyze, frame_ode_residual,
-                               sampled_surface, simpson_integrator,
-                               spline_surface)
+from ruledgeom.surface import (BLOCK, END_TRIM, SurfaceSpec, _blocks,
+                               _eval_curve, _grid_of, analyze,
+                               frame_ode_residual, sampled_surface,
+                               simpson_integrator, spline_surface)
 
 NS = (5, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, BLOCK + 3,
       2 * BLOCK + 1)
@@ -299,6 +302,74 @@ def test_nan_in_one_block_reads_nan():
     res = frame_ode_residual(a)
     assert np.isnan(res.real_max) and np.isnan(res.dual_max)
     assert bits(res.orthonormality_max) == bits(ref_frame_ode(a)[2])
+
+
+# -- the speed guard, per block of the striction pass ------------------------
+
+GUARD_N = 2 * BLOCK + 1
+
+
+def stalling(oracle):
+    """A circle director on u in [0, 1] that halts for u in [0.6, 0.65]
+    (samples 9831 to 10649 of GUARD_N, all in the second block), over the
+    line base (u, 0, 0), so <p', e'> / sigma^2 there would divide a
+    nonzero by zero; with its speed oracle or from grid differences."""
+    def angle(u):
+        return np.minimum(u, 0.6) + np.maximum(u - 0.65, 0.0)
+
+    def director(u):
+        a = angle(u)
+        return np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=-1)
+
+    def director_d1(u):
+        a, moving = angle(u), (u < 0.6) | (u > 0.65)
+        return np.stack([-np.sin(a), np.cos(a), np.zeros_like(a)],
+                        axis=-1) * moving[:, None]
+
+    def base(u):
+        return np.stack([u, np.zeros_like(u), np.zeros_like(u)], axis=-1)
+
+    return SurfaceSpec(director=director, base=base, param_range=(0.0, 1.0),
+                       sample_count=GUARD_N,
+                       director_d1=director_d1 if oracle else None)
+
+
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "sampled"])
+def test_a_speed_that_vanishes_in_the_second_block_degenerates(oracle):
+    # the guard reads each block's speed before its striction arithmetic
+    # divides by it: no divide-by-zero warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateIndicatrix,
+                           match="^indicatrix speed falls to 0.000e[+]00: "):
+            analyze(stalling(oracle))
+
+
+def test_an_infinite_speed_in_the_second_block_names_its_cause():
+    spec = spec_of("cone", GUARD_N)
+    d1 = spec.director_d1
+
+    def poisoned(u):
+        out = np.array(d1(u), dtype=float)
+        out[BLOCK + 100, 0] = np.inf
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^surface oracles returned "
+                                             "non-finite samples$"):
+            analyze(dataclasses.replace(spec, director_d1=poisoned))
+
+
+def test_a_failing_base_is_reported_before_a_degenerate_director():
+    # every oracle runs before the speed guard
+    spec = dataclasses.replace(stalling(True),
+                               base=lambda u: np.zeros((len(u), 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^curve callables must be "
+                                             "vectorized, .* got shape"):
+            analyze(spec)
 
 
 def test_frame_ode_temporaries_stay_below_one_vector_field():

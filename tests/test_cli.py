@@ -646,6 +646,28 @@ def test_a_bad_u_column_names_the_csv(tmp_path, capsys, bad_u):
         "increasing\n")
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+@pytest.mark.parametrize("column", [4, 5, 6])
+def test_a_non_finite_base_cell_names_the_csv(tmp_path, capsys, cell,
+                                              column):
+    # at the grid spline this read "`y` must contain only finite values.",
+    # naming no file
+    sampled = tmp_path / "sampled.csv"
+    rows = ["u,ex,ey,ez,px,py,pz"]
+    for i, u in enumerate(np.linspace(0.0, 1.0, 11).tolist()):
+        cells = [repr(u), repr(np.cos(u).item()), repr(np.sin(u).item()),
+                 "0", "0", "0", repr(u)]
+        if i == 4:
+            cells[column] = cell
+        rows.append(",".join(cells))
+    sampled.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"sampled_csv": str(sampled)}}))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {sampled}: columns px, py, pz must be finite\n")
+
+
 def test_read_sampled_csv_rejects_bad_header(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("u,ex,ey,ez\n0,1,0,0\n")
