@@ -112,6 +112,13 @@ def read_only(x) -> np.ndarray:
     return x
 
 
+def max_abs(*parts) -> float:
+    """The largest |x| over every element of the parts; a NaN in any part
+    reads NaN (Python's max() drops a NaN that is not its first argument,
+    so a check on it would pass)."""
+    return float(np.max([np.max(np.abs(p)) for p in parts]))
+
+
 # 3-vector kernels over the leading (component) axis of float arrays: (3,)
 # or (3, ...), broadcasting.  They work component by component, without
 # the input copies of np.cross, and reproduce numpy's results bit for bit,

@@ -242,8 +242,7 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         n_valid += np.count_nonzero(base_ok)
         # the offset's dual frame on the block, formed once for the
         # Mannheim rows and both sides of the Darboux axis
-        frame = off.dual_frame(sl)
-        e1, t1, g1 = frame
+        e1, t1, g1 = off.dual_frame(sl)
 
         # Mannheim condition: asymptotic normal of the base = central
         # normal of the recomputed offset (the interior is never empty:
@@ -253,10 +252,10 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
             mann, (base_g.real, base_g.dual), (t1.real, t1.dual))]
 
         speed_ratio = off.sigma[sl] / a.sigma[sl]
-        # Darboux axis of the offset: cos(th)~e1 + sin(th)~g1 on the
-        # recomputed offset frame, against the offset's own d0
+        # Darboux axis of the offset, cos(rho1)~e1 + sin(rho1)~g1: predicted
+        # with rho1 = theta_bar, recomputed from the offset's own invariants
         d0_pred = built.cos_bar.cols(sl) * e1 + built.sin_bar.cols(sl) * g1
-        d0_rec = inv.d0_cols(sl, frame)
+        d0_rec = inv.cos_rho.cols(sl) * e1 + inv.R.cols(sl) * g1
         pairs = (
             (pred.dsbar1_dsbar.real[sl], speed_ratio),
             (pred.dsbar1_dsbar.dual[sl],

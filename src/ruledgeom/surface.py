@@ -14,9 +14,9 @@ field e(u) (its spherical indicatrix) and a base curve.  The pipeline
   5. computes the scalar invariants: distribution parameter Delta,
      delta = <dc/ds, e>, conical curvature gamma, and the dual arc-length
      part s* = integral of Delta ds,
-  6. optionally derives the dual curvature quantities (curvature radius,
-     spherical radius of curvature, and, when read, the unit Darboux
-     axis) with exact dual arithmetic.
+  6. optionally derives the dual curvature R and spherical radius of
+     curvature rho with exact dual arithmetic (the unit Darboux axis
+     cos(rho) e + sin(rho) g is formed by its readers).
 
 Derivatives come from analytic oracles when the spec provides them and
 from second-order central differences on the grid otherwise; endpoint
@@ -72,8 +72,8 @@ import numpy as np
 import scipy
 from numpy.linalg import LinAlgError
 
-from .dual import (DualScalar, cross3, dot3, dual_cos, dual_div, dual_sin,
-                   dual_sqrt, norm3, read_only, sum3)
+from .dual import (DualScalar, cross3, dot3, dual_div, dual_sqrt, max_abs,
+                   norm3, read_only, sum3)
 from .errors import DegenerateIndicatrix
 
 
@@ -196,10 +196,11 @@ class SurfaceSpec:
 
 class Reparametrization:
     """The native parameter u, the indicatrix arc length s and the speed
-    sigma = ds/du; they back the chain-rule consistency check."""
+    sigma = ds/du, as read-only arrays; they back the chain-rule
+    consistency check."""
 
     def __init__(self, u: np.ndarray, s: np.ndarray, sigma: np.ndarray):
-        self.u, self.s, self.sigma = u, s, sigma
+        self.u, self.s, self.sigma = map(read_only, (u, s, sigma))
 
     def chain_rule_residual(self) -> float:
         """max |ds/du * du/ds - 1| over nodes and interval midpoints of the
@@ -218,31 +219,14 @@ class Reparametrization:
 
 @dataclass(frozen=True)
 class DualCurvatureInvariants:
-    """Per-sample dual curvature R and dual spherical radius of curvature
-    rho; d0_cols(sl) forms the unit vector d0 along the dual Darboux axis
-    from cos(rho) and the dual frame of the analysis."""
+    """Per-sample dual curvature R = sin(rho), dual spherical radius of
+    curvature rho and cos(rho), each with (n,) read-only parts.  The unit
+    vector along the dual Darboux axis, cos(rho) e + sin(rho) g, is formed
+    by its readers from these and the analysis's dual_frame(sl)."""
 
-    R: DualScalar        # fields are (n,) arrays; R = sin(rho)
-    rho: DualScalar      # fields are (n,) arrays
+    R: DualScalar
+    rho: DualScalar
     cos_rho: DualScalar = field(repr=False)
-    analysis: SurfaceAnalysis = field(repr=False)
-
-    def d0_cols(self, sl: slice, frame: Optional[tuple] = None) -> DualScalar:
-        """The columns sl of d0 = cos(rho) e + sin(rho) g, formed from the
-        columns sl of its factors; frame is the analysis's dual_frame(sl)
-        when the caller has formed it."""
-        e_t, _, g_t = self.analysis.dual_frame(sl) if frame is None else frame
-        return self.cos_rho.cols(sl) * e_t + self.R.cols(sl) * g_t
-
-    def radius_identity_residual(self, gamma_bar: DualScalar) -> float:
-        """max componentwise defect of sin(rho) = R and cot(rho) = gamma."""
-        sin_rho = dual_sin(self.rho)
-        cos_rho = dual_cos(self.rho)
-        cot_rho = dual_div(cos_rho, sin_rho)
-        # np.max, not max(): a NaN defect must propagate
-        return float(np.max([np.max(np.abs(x - y)) for x, y in (
-            (sin_rho.real, self.R.real), (sin_rho.dual, self.R.dual),
-            (cot_rho.real, gamma_bar.real), (cot_rho.dual, gamma_bar.dual))]))
 
 
 # each derivative field: the sampled field it differentiates, and the held
@@ -389,9 +373,9 @@ def _spline_last_node(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     of the last piece only, and evaluates that piece as PPoly does."""
     dx, slope, s = _not_a_knot_slopes(u, y)
     # with every |s|, |slope| <= m and h_k >= h, every term of the
-    # _hermite_coefficients rows is at most 4m, 6m/h or 4m/h^2 (np.max,
-    # not max(): a NaN slope must fail the bound)
-    m = float(np.max([np.max(np.abs(s)), np.max(np.abs(slope))]))
+    # _hermite_coefficients rows is at most 4m, 6m/h or 4m/h^2 (a NaN
+    # slope reads m = NaN and fails the bound)
+    m = max_abs(s, slope)
     h = float(np.min(dx))
     bound = 8.0 * m if h >= 1.0 else 8.0 * m / h / h
     if not bound < np.inf:   # NaN fails too
@@ -674,8 +658,7 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
 
 def dual_invariants(analysis: SurfaceAnalysis) -> DualCurvatureInvariants:
     """Dual curvature 1/sqrt(1 + gamma_bar^2) and the matching spherical
-    radius of curvature, computed with exact dual arithmetic per sample;
-    the unit dual Darboux vector is built from them when first read."""
+    radius of curvature, computed with exact dual arithmetic per sample."""
     gb = analysis.gamma_bar()
     R = dual_div(DualScalar(1.0, 0.0), dual_sqrt(gb * gb + 1.0))
     cos_rho = gb * R
@@ -685,7 +668,7 @@ def dual_invariants(analysis: SurfaceAnalysis) -> DualCurvatureInvariants:
     rho_star = np.cos(rho) * sin_rho.dual - np.sin(rho) * cos_rho.dual
 
     return DualCurvatureInvariants(R=R, rho=DualScalar(rho, rho_star),
-                                   cos_rho=cos_rho, analysis=analysis)
+                                   cos_rho=cos_rho)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import catalog
 from .config import Tolerances
-from .dual import (DualScalar, dot3, dual_angle, dual_cross,
-                   dual_dot, dual_mul, dual_norm, dual_normalize, lift, norm3)
+from .dual import (DualScalar, dot3, dual_angle, dual_cos, dual_cross,
+                   dual_div, dual_dot, dual_mul, dual_norm, dual_normalize,
+                   dual_sin, lift, max_abs, norm3)
 from .lines import (common_perpendicular, dual_to_line, line_to_dual,
                     row_dot, sample_lines)
 from .offsets import (OffsetSpec, flattening_profile, offset_angle,
@@ -37,13 +38,6 @@ class Check:
     @property
     def passed(self) -> bool:
         return self.measured <= self.tolerance
-
-
-def _max_abs(*parts) -> float:
-    """The largest |x| over every element of the parts; a NaN in any part
-    reads NaN (Python's max() drops a NaN that is not its first argument,
-    so a check on it would pass)."""
-    return float(np.max([np.max(np.abs(p)) for p in parts]))
 
 
 def _c(name: str, measured: float | None, tol: float) -> Check:
@@ -109,7 +103,7 @@ def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
         rels.append(np.abs(lift(f, fp, x).dual - x.dual * fd)
                     / np.abs(x.dual))
     out.append(_c("algebra: lifted derivative vs central difference "
-                  "(relative, h=1e-5)", _max_abs(*rels), tol.lift_fd_rel))
+                  "(relative, h=1e-5)", max_abs(*rels), tol.lift_fd_rel))
 
     def rand_dv():
         return DualScalar(rng.uniform(-2, 2, (n, 3)).T,
@@ -130,7 +124,7 @@ def suite_dual_algebra(tol, seed, analyses) -> list[Check]:
                     rng.uniform(-3, 3, (n, 3)).T)
     nn = dual_norm(dual_normalize(vc))
     out.append(_c("algebra: dual_normalize yields norm 1 + eps*0",
-                  _max_abs(nn.real - 1.0, nn.dual),
+                  max_abs(nn.real - 1.0, nn.dual),
                   tol.normalize_unit))
     return out
 
@@ -144,7 +138,7 @@ def suite_line_correspondence(tol, seed, analyses) -> list[Check]:
     duals = line_to_dual(lines)
     a, m = duals.real, duals.dual
 
-    constraint = _max_abs(row_dot(a, a) - 1.0, row_dot(a, m))
+    constraint = max_abs(row_dot(a, a) - 1.0, row_dot(a, m))
     back = dual_to_line(duals)
     direction = np.max(np.abs(back.direction - lines.direction))
     foot = np.max(lines.distance_to_point(back.point))
@@ -173,8 +167,8 @@ def suite_saddle_reproduction(tol, seed, analyses) -> list[Check]:
     g_want = np.array([[-SQ2 / 2.0], [-SQ2 / 2.0], [0.0]])
     i0 = a.n // 2
     e_tilde, _, _ = a.dual_frame()
-    ruling_dev = _max_abs(e_tilde.real[:, i0] - [SQ2 / 2, -SQ2 / 2, 0],
-                          e_tilde.dual[:, i0])
+    ruling_dev = max_abs(e_tilde.real[:, i0] - [SQ2 / 2, -SQ2 / 2, 0],
+                         e_tilde.dual[:, i0])
     return [
         _c("saddle: asymptotic normal constant (-sqrt2/2, -sqrt2/2, 0)",
            np.max(np.abs(a.g - g_want)), tol.example_g),
@@ -269,7 +263,7 @@ def _pipeline_checks(label: str, a, tol: Tolerances,
     trim = slice(END_TRIM, a.n - END_TRIM)
     e_tilde, t_tilde, _ = a.dual_frame()
     ee = dual_dot(e_tilde, e_tilde)
-    unit_dev = _max_abs(ee.real - 1.0, ee.dual)
+    unit_dev = max_abs(ee.real - 1.0, ee.dual)
 
     c_s = a.derivative("c_u") / a.sigma
     ortho = Measurement("ortho").merged(np.abs(dot3(c_s, a.t)), trim).deviation
@@ -281,7 +275,11 @@ def _pipeline_checks(label: str, a, tol: Tolerances,
     arc_speed = np.max(np.abs(dss / ds - mid_Delta))
 
     ode = frame_ode_residual(a)
-    inv = a.invariants()
+    inv, gb = a.invariants(), a.gamma_bar()
+    sin_rho = dual_sin(inv.rho)
+    cot_rho = dual_div(dual_cos(inv.rho), sin_rho)
+    radius_dev = max_abs(sin_rho.real - inv.R.real, sin_rho.dual - inv.R.dual,
+                         cot_rho.real - gb.real, cot_rho.dual - gb.dual)
     return [
         _c(f"{label}: dual ruling stays on the dual unit sphere",
            unit_dev, tol.dual_unit),
@@ -298,7 +296,7 @@ def _pipeline_checks(label: str, a, tol: Tolerances,
         _c(f"{label}: frame evolution residual (dual)",
            ode.dual_max, ode_tol),
         _c(f"{label}: sin(rho)=R and cot(rho)=gamma (dual identities)",
-           inv.radius_identity_residual(a.gamma_bar()), tol.radius_identity),
+           radius_dev, tol.radius_identity),
         _c(f"{label}: reparametrization chain-rule residual",
            a.reparam.chain_rule_residual(), tol.chain_rule),
     ]
@@ -327,8 +325,8 @@ def suite_pipeline(tol, seed, analyses) -> list[Check]:
                   ode.dual_max, tol.frame_ode_sampled))
 
     b = analyze(_shifted_base_saddle(saddle))
-    inv_dev = _max_abs(b.c - base.c, b.Delta - base.Delta,
-                       b.delta - base.delta, b.gamma - base.gamma)
+    inv_dev = max_abs(b.c - base.c, b.Delta - base.Delta,
+                      b.delta - base.delta, b.gamma - base.gamma)
     out.append(_c("saddle: striction/invariants unchanged when the base "
                   "curve slides along the rulings", inv_dev,
                   tol.striction_invariance))

@@ -56,7 +56,8 @@ def test_vector_fields_are_component_major(build):
     a = analyze(build())
     for name in ANALYSIS_VECTORS:
         assert_component_major(vector(a, name), a.n)
-    d0 = a.invariants().d0_cols(slice(None))
+    inv, (e_t, _, g_t) = a.invariants(), a.dual_frame()
+    d0 = inv.cos_rho * e_t + inv.R * g_t
     assert_component_major(d0.real, a.n)
     assert_component_major(d0.dual, a.n)
     built = construct_offset(a, OffsetSpec.constant(0.5, 1.0))

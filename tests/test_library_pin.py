@@ -386,8 +386,9 @@ def _array_digests(a, rep) -> dict:
             put(f"{prefix}.{name}", analysis.derivative(name))
         inv = (a.invariants() if prefix == "base"
                else rep.offset_invariants)
+        e_t, _, g_t = analysis.dual_frame()
         for field, value in (("R", inv.R), ("rho", inv.rho),
-                             ("d0", inv.d0_cols(slice(None)))):
+                             ("d0", inv.cos_rho * e_t + inv.R * g_t)):
             for part in ("real", "dual"):
                 put(f"{prefix}_inv.{field}.{part}", getattr(value, part))
     built = rep.constructed

@@ -348,10 +348,8 @@ def test_results_are_frozen_and_d0_is_built_on_first_read():
                          (rep.rows[0], "deviation"), (rep, "n_valid")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(result, name, None)
-    d0 = inv.d0_cols(slice(None))
-    assert "d0" not in vars(inv)        # formed on each read, never held
-    e_t, _, g_t = a.dual_frame()
-    assert np.array_equal(d0.real, (inv.cos_rho * e_t + inv.R * g_t).real)
+    # a plain record: its readers form d0, it never holds it
+    assert set(vars(inv)) == {"R", "rho", "cos_rho"}
 
 
 def test_dual_values_are_read_only():
@@ -382,6 +380,31 @@ def test_dual_values_are_read_only():
     assert wrapped.real[0] == 1.0 and own.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         wrapped.dual[0] = 2.0
+
+
+def _arrays(obj, path):
+    """(path, array) of every array reachable from obj through the fields
+    of ruledgeom objects and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, tuple):
+        for i, x in enumerate(obj):
+            yield from _arrays(x, f"{path}[{i}]")
+    elif type(obj).__module__.startswith("ruledgeom."):
+        for name, x in vars(obj).items():
+            yield from _arrays(x, f"{path}.{name}")
+
+
+def test_no_array_of_an_analysis_or_offset_report_is_writable():
+    a = cone_analysis()
+    rep = verify_offset(a, OffsetSpec.theorem(2.8, 0.7))
+    found = dict(_arrays((a, a.invariants(), rep), "results"))
+    assert {"results[0].reparam.s", "results[2].offset_analysis.reparam.s",
+            "results[2].offset_invariants.rho.dual",
+            "results[2].constructed.e1", "results[0].e_uu"} <= set(found)
+    assert [path for path, x in found.items() if x.flags.writeable] == []
+    with pytest.raises(ValueError, match="read-only"):
+        a.reparam.s[0] = 1.0
 
 
 # --- measured defects (ROADMAP items 2, 3 and 11) ---

@@ -17,7 +17,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from ruledgeom import catalog
+from ruledgeom import catalog, verify
 from ruledgeom.config import Tolerances
 from ruledgeom.errors import DegenerateIndicatrix
 from ruledgeom.io import render_offset_report, surface_grid
@@ -268,8 +268,8 @@ def test_invariants_flat_axis():
     assert np.max(np.abs(inv.R.dual)) < 1e-12
     assert np.max(np.abs(inv.rho.real - np.pi / 2)) < 1e-12
     assert np.max(np.abs(inv.rho.dual)) < 1e-12
-    _, _, g_t = a.dual_frame()
-    d0 = inv.d0_cols(slice(None))
+    e_t, _, g_t = a.dual_frame()
+    d0 = inv.cos_rho * e_t + inv.R * g_t
     assert np.max(np.abs(d0.real - g_t.real)) < 1e-12
     assert np.max(np.abs(d0.dual - g_t.dual)) < 1e-12
 
@@ -284,10 +284,13 @@ def test_invariants_unit_curvature():
 
 
 def test_radius_identities():
+    # verify's check of sin(rho) = R and cot(rho) = gamma_bar
+    tol = Tolerances()
     for spec in (saddle(), catalog.small_circle(0.4, 1.0, (0.0, 5.0), 1001)):
-        a = analyze(spec)
-        inv = a.invariants()
-        assert inv.radius_identity_residual(a.gamma_bar()) < 1e-9
+        (check,) = [c for c in verify._pipeline_checks(
+            "case", analyze(spec), tol, tol.frame_ode_analytic)
+            if "sin(rho)=R" in c.name]
+        assert check.measured < 1e-9
 
 
 def test_dual_ruling_unit():
@@ -398,7 +401,9 @@ def test_orthonormality_defect_propagates_nan():
 def test_invariants_are_recomputed_equal():
     a = analyze(catalog.small_circle(0.4, 1.0, (0.0, 5.0), 101))
     first, second = a.invariants(), a.invariants()
-    d0_first, d0_second = (inv.d0_cols(slice(None)) for inv in (first, second))
+    e_t, _, g_t = a.dual_frame()
+    d0_first, d0_second = (inv.cos_rho * e_t + inv.R * g_t
+                           for inv in (first, second))
     for x, y in [(first.R.real, second.R.real), (first.R.dual, second.R.dual),
                  (first.rho.real, second.rho.real),
                  (first.rho.dual, second.rho.dual),
@@ -494,13 +499,3 @@ def test_frame_ode_nan_defect_propagates():
     e_uu[:, 100] = np.nan
     res = frame_ode_residual(replace(a, e_uu=e_uu))
     assert np.isnan(res.real_max) and np.isnan(res.dual_max)
-
-
-def test_radius_identity_nan_defect_propagates():
-    # a NaN dual conical curvature leaves the real rows finite and the
-    # dual rows NaN
-    a = analyze(catalog.small_circle(np.pi / 6, 1.0, (0.0, 3.0), 201))
-    gamma_dual = np.array(a.gamma_dual)
-    gamma_dual[100] = np.nan
-    a = replace(a, gamma_dual=gamma_dual)
-    assert np.isnan(a.invariants().radius_identity_residual(a.gamma_bar()))

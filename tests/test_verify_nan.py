@@ -72,6 +72,20 @@ def patch_shifted_analysis(monkeypatch):
     monkeypatch.setattr(verify, "analyze", patched)
 
 
+def patch_gamma_dual(monkeypatch):
+    """NaN in gamma_dual of every analysis: it reaches the dual parts of
+    sin(rho) - R and cot(rho) - gamma_bar, not the real part that comes
+    first."""
+    analyze = verify.analyze
+
+    def patched(spec):
+        a = analyze(spec)
+        return SurfaceAnalysis(**{**vars(a),
+                                  "gamma_dual": with_nan(a.gamma_dual)})
+
+    monkeypatch.setattr(verify, "analyze", patched)
+
+
 def pipeline_cone(tol, seed, analyses):
     label, key = verify.PIPELINE_CASES[1]
     return verify._pipeline_checks(label, analyses[key], tol,
@@ -85,8 +99,9 @@ def pipeline_cone(tol, seed, analyses):
     (patch_dual_frame, verify.suite_saddle_reproduction, "dual ruling at"),
     (patch_dual_frame, pipeline_cone, "dual unit sphere"),
     (patch_shifted_analysis, verify.suite_pipeline, "base curve slides"),
+    (patch_gamma_dual, pipeline_cone, "sin(rho)=R and cot(rho)=gamma"),
 ], ids=["lift", "dual_normalize", "constraint", "ruling_dev", "unit_dev",
-        "inv_dev"])
+        "inv_dev", "radius_identity"])
 def test_a_nan_in_a_later_part_fails_the_check(monkeypatch, patch, suite,
                                                check):
     tol = Tolerances()
