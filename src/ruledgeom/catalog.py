@@ -44,6 +44,15 @@ def _trig_oracles():
     return lambda f: lambda u: f(u, *trig(u))
 
 
+def _circle_director(oracle, b: float) -> dict:
+    """The director (sin b cos u, sin b sin u, cos b) with d1 and d2."""
+    sb, cb = np.sin(b), np.cos(b)
+    return dict(
+        director=oracle(lambda u, cos, sin: _xyz(sb * cos, sb * sin, cb)),
+        director_d1=oracle(lambda u, cos, sin: _xyz(-sb * sin, sb * cos, 0.0)),
+        director_d2=oracle(lambda u, cos, sin: _xyz(-sb * cos, -sb * sin, 0.0)))
+
+
 def _unit_normalized(raw, raw_d1, raw_d2):
     """Normalize a raw space curve to a unit field; returns (fn, d1, d2),
     the field and its chain-rule derivatives.  Each refuses a grid on
@@ -106,13 +115,8 @@ def cone(alpha: float, param_range=(0.0, 2.0 * np.pi),
     Developable: the striction curve degenerates to the apex."""
     if not 0.0 < alpha < 0.5 * np.pi:
         raise ConfigError("cone half-angle must lie in (0, pi/2)")
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    oracle = _trig_oracles()
     return SurfaceSpec(
-        director=oracle(lambda u, cos, sin: _xyz(
-            sa * cos, sa * sin, ca * np.ones_like(np.asarray(u, float)))),
-        director_d1=oracle(lambda u, cos, sin: _xyz(-sa * sin, sa * cos, 0.0)),
-        director_d2=oracle(lambda u, cos, sin: _xyz(-sa * cos, -sa * sin, 0.0)),
+        **_circle_director(_trig_oracles(), alpha),
         base=_zero3, base_d1=_zero3, base_d2=_zero3,
         param_range=param_range, sample_count=sample_count,
         name=f"cone(alpha={alpha:g})")
@@ -127,14 +131,10 @@ def small_circle(beta: float, radius: float = 1.0,
     so it exercises the general offset formulas."""
     if not 0.0 < beta < 0.5 * np.pi:
         raise ConfigError("small_circle colatitude must lie in (0, pi/2)")
-    sb, cb = np.sin(beta), np.cos(beta)
     r = float(radius)
     oracle = _trig_oracles()
     return SurfaceSpec(
-        director=oracle(lambda u, cos, sin: _xyz(
-            sb * cos, sb * sin, cb * np.ones_like(np.asarray(u, float)))),
-        director_d1=oracle(lambda u, cos, sin: _xyz(-sb * sin, sb * cos, 0.0)),
-        director_d2=oracle(lambda u, cos, sin: _xyz(-sb * cos, -sb * sin, 0.0)),
+        **_circle_director(oracle, beta),
         base=oracle(lambda u, cos, sin: _xyz(
             -r * sin, r * cos, 0.0 * np.asarray(u, float))),
         base_d1=oracle(lambda u, cos, sin: _xyz(-r * cos, -r * sin, 0.0)),

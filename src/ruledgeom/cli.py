@@ -141,6 +141,8 @@ def cmd_mesh(args) -> int:
     if args.v_count < 2:
         raise RuledGeomError("--v-count must be at least 2")
     v_range = [finite_number(v, "--v-range entry") for v in args.v_range]
+    if not v_range[0] < v_range[1]:
+        raise RuledGeomError("--v-range must satisfy A < B")
     analysis = analyze(cfg.build_surface())
     out = _out_dir(args, cfg)
     base_path = out / "base.obj"

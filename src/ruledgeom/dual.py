@@ -102,6 +102,14 @@ def dual_sqrt(x: DualScalar) -> DualScalar:
     return DualScalar(r, x.dual / (2.0 * r))
 
 
+def dual_atan2(sin_bar: DualScalar, cos_bar: DualScalar) -> DualScalar:
+    """The dual angle with dual sine and cosine sin_bar and cos_bar (cos^2 +
+    sin^2 = 1 as a dual identity, so the pushforward of atan2 is exact)."""
+    theta = np.arctan2(sin_bar.real, cos_bar.real)
+    return DualScalar(theta, np.cos(theta) * sin_bar.dual
+                      - np.sin(theta) * cos_bar.dual)
+
+
 def read_only(x) -> np.ndarray:
     """x as a read-only float array: a writable array is wrapped in a
     read-only view, so the caller's own array stays writable."""
@@ -171,8 +179,9 @@ def dot3(u: np.ndarray, v: np.ndarray):
 def sum3(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """p[0] + p[1] + p[2] of a (3, N) batch, N > 1, bitwise equal to
     np.sum(p, axis=0), into out if given.  A column block of such a batch,
-    even one column wide, keeps the batch's bits through it (dot3 would
-    reduce a (3, 1) block as a single vector)."""
+    even one column wide (which dot3 would reduce as a single vector),
+    keeps the batch's bits but for NaN payloads: a (3, 1) block of (NaN1,
+    NaN1, NaN2) passes on NaN2 where the batch passes on NaN1."""
     out = np.add(p[0], p[1], out=out)
     out += p[2]
     out += 0.0   # np.sum starts from +0.0, so a sum of -0.0 terms is +0.0
@@ -225,20 +234,16 @@ def dual_angle(a: DualScalar, b: DualScalar) -> DualScalar:
     """
     cos_bar = dual_dot(a, b)
     cross = dual_cross(a, b)
-    sin_real = norm3(cross.real)
-
-    scalar_input = np.ndim(sin_real) == 0
-    sin_real = np.atleast_1d(sin_real)
-    cos_real = np.atleast_1d(np.asarray(cos_bar.real, dtype=float))
-    cos_dual = np.atleast_1d(np.asarray(cos_bar.dual, dtype=float))
-
+    scalar_input = np.ndim(cos_bar.real) == 0
+    sin_real, cos_real, cos_dual = np.atleast_1d(
+        norm3(cross.real), cos_bar.real, cos_bar.dual)
     parallel = sin_real < PARALLEL_SIN_EPS
-    safe_sin = np.where(parallel, 1.0, sin_real)
-    sin_dual = dot3(cross.real, cross.dual) / safe_sin
+    sin_dual = dot3(cross.real, cross.dual) / np.where(parallel, 1.0, sin_real)
 
-    theta = np.arctan2(sin_real, cos_real)
-    # d(atan2(s, c)) with s^2 + c^2 = 1 for unit inputs
-    theta_star = np.cos(theta) * sin_dual - np.sin(theta) * cos_dual
+    # s^2 + c^2 = 1 for unit inputs
+    angle = dual_atan2(DualScalar(sin_real, sin_dual),
+                       DualScalar(cos_real, cos_dual))
+    theta, theta_star = angle.real, angle.dual
 
     if np.any(parallel):
         same = cos_real > 0.0

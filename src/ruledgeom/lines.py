@@ -7,7 +7,7 @@ the point of the line nearest the origin.
 
 Every function takes one line ((3,) fields) or a batch of N lines ((3, N)
 fields, one row per coordinate, like every vector batch of the package);
-per-line scalars are Python floats for one line, (N,) arrays else.
+per-line scalars are np.float64 (a float) for one line, (N,) arrays else.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ def _row_norm(a: np.ndarray):
     return np.sqrt(row_dot(a, a))
 
 
-def _scalar(x):
-    """One line's scalar as a Python float; a batch's as an array."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 @dataclass(frozen=True)
 class Line:
     """Oriented line, or batch of lines: a point on it, a unit direction."""
@@ -64,7 +59,7 @@ class Line:
     def distance_to_point(self, q):
         """Distance to the point q ((3,), or (3, N) for a batch)."""
         q = np.asarray(q, dtype=float)
-        return _scalar(_row_norm(cross3(q - self.point, self.direction)))
+        return _row_norm(cross3(q - self.point, self.direction))
 
 
 def line_to_dual(line: Line) -> DualScalar:
@@ -110,7 +105,7 @@ def common_perpendicular(l1: Line, l2: Line):
     t2 = np.where(parallel, e, (e - b * d) / denom)
     f1 = np.where(parallel, l1.point, l1.point + t1 * e1)
     f2 = l2.point + t2 * e2
-    return _scalar(_row_norm(f1 - f2)), (f1, f2)
+    return _row_norm(f1 - f2), (f1, f2)
 
 
 def sample_lines(rng: np.random.Generator, count: int) -> Line:

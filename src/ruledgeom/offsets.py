@@ -216,8 +216,7 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
             "identity offset: predicted arc-speed gamma*sin(theta) "
             "vanishes, there is no separate surface to verify")
     # the splines' one consumer; unlike sampled_surface, no renormalization
-    surface = spline_surface(a.u, built.e1, built.c1,
-                             f"{a.spec.name or 'surface'}+offset[{spec.mode}]")
+    surface = spline_surface(a.u, built.e1, built.c1, f"offset[{spec.mode}]")
     try:
         off = analyze(surface)
     except DegenerateIndicatrix as exc:
@@ -226,10 +225,7 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
 
     pred = predicted_invariants(a, th, built.cos_bar, built.sin_bar)
     inv = off.invariants()
-    rows = [Measurement(name) for name in (
-        "ds1/ds", "dsbar1/dsbar (dual part)", "gamma1", "Delta1", "delta1",
-        "R1 (real)", "R1 (dual)", "rho1 (angle)", "rho1 (distance)",
-        "d0_1 (real)", "d0_1 (dual)")]
+    rows = {}   # name -> Measurement, in the table's order
     mann = [Measurement("mannheim (real)"), Measurement("mannheim (dual)")]
     n_valid = 0
 
@@ -256,27 +252,28 @@ def verify_offset(analysis: SurfaceAnalysis, spec: OffsetSpec) -> OffsetReport:
         # with rho1 = theta_bar, recomputed from the offset's own invariants
         d0_pred = built.cos_bar.cols(sl) * e1 + built.sin_bar.cols(sl) * g1
         d0_rec = inv.cos_rho.cols(sl) * e1 + inv.R.cols(sl) * g1
-        pairs = (
-            (pred.dsbar1_dsbar.real[sl], speed_ratio),
-            (pred.dsbar1_dsbar.dual[sl],
+        table = (   # (row, predicted, recomputed)
+            ("ds1/ds", pred.dsbar1_dsbar.real[sl], speed_ratio),
+            ("dsbar1/dsbar (dual part)", pred.dsbar1_dsbar.dual[sl],
              speed_ratio * (off.Delta[sl] - a.Delta[sl])),
-            (pred.gamma1[sl], off.gamma[sl]),
-            (pred.Delta1[sl], off.Delta[sl]),
-            (pred.delta1[sl], off.delta[sl]),
-            (pred.R1.real[sl], inv.R.real[sl]),
-            (pred.R1.dual[sl], inv.R.dual[sl]),
-            (pred.rho1.real[sl], inv.rho.real[sl]),
-            (pred.rho1.dual[sl], inv.rho.dual[sl]),
-            (norm3(d0_pred.real - d0_rec.real), 0.0),
-            (norm3(d0_pred.dual - d0_rec.dual), 0.0))
+            ("gamma1", pred.gamma1[sl], off.gamma[sl]),
+            ("Delta1", pred.Delta1[sl], off.Delta[sl]),
+            ("delta1", pred.delta1[sl], off.delta[sl]),
+            ("R1 (real)", pred.R1.real[sl], inv.R.real[sl]),
+            ("R1 (dual)", pred.R1.dual[sl], inv.R.dual[sl]),
+            ("rho1 (angle)", pred.rho1.real[sl], inv.rho.real[sl]),
+            ("rho1 (distance)", pred.rho1.dual[sl], inv.rho.dual[sl]),
+            ("d0_1 (real)", norm3(d0_pred.real - d0_rec.real), 0.0),
+            ("d0_1 (dual)", norm3(d0_pred.dual - d0_rec.dual), 0.0))
         # a guarded prediction is NaN outside its guard band
-        rows = [row.merged(np.abs(p - r), base_ok & np.isfinite(p), sl.start)
-                for row, (p, r) in zip(rows, pairs)]
+        for name, p, r in table:
+            rows[name] = rows.get(name, Measurement(name)).merged(
+                np.abs(p - r), base_ok & np.isfinite(p), sl.start)
 
     return OffsetReport(
         constructed=built, offset_analysis=off, offset_invariants=inv,
         mannheim_residual_real=mann[0].deviation,
-        mannheim_residual_dual=mann[1].deviation, rows=tuple(rows),
+        mannheim_residual_dual=mann[1].deviation, rows=tuple(rows.values()),
         base_max_abs_Delta=float(np.max(np.abs(a.Delta))),
         offset_max_abs_Delta=float(np.max(np.abs(off.Delta))),
         n_valid=int(n_valid))

@@ -72,8 +72,8 @@ import numpy as np
 import scipy
 from numpy.linalg import LinAlgError
 
-from .dual import (DualScalar, cross3, dot3, dual_div, dual_sqrt, max_abs,
-                   norm3, read_only, sum3)
+from .dual import (DualScalar, cross3, dot3, dual_atan2, dual_div, dual_sqrt,
+                   max_abs, norm3, read_only, sum3)
 from .errors import DegenerateIndicatrix
 
 
@@ -237,9 +237,9 @@ _DERIVATIVES = {"e_u": ("e", ("e_u",)), "e_uu": ("e", ("e_u", "e_uu")),
 
 @dataclass(frozen=True)
 class SurfaceAnalysis:
-    """Full per-sample state of an analyzed ruled surface (immutable: every
-    array field is a read-only view).  Scalar fields are (n,) arrays;
-    vector fields are C-contiguous (3, n) arrays, one row per component.
+    """An analyzed ruled surface as plain data (no spec or callable: it
+    pickles), immutable (every array is a read-only view).  Scalar fields
+    are (n,) arrays; vector fields C-contiguous (3, n), one row per axis.
 
     It stores the sampled fields, the scalar invariants and the derivatives
     that an oracle or the analytic striction formula produced (e_u, e_uu,
@@ -247,7 +247,6 @@ class SurfaceAnalysis:
     derivative(name, sl) reads every derivative, held or formed, on the
     columns sl (module docstring)."""
 
-    spec: SurfaceSpec
     u: np.ndarray
     s: np.ndarray
     s_star: np.ndarray
@@ -650,24 +649,19 @@ def analyze(spec: SurfaceSpec) -> SurfaceAnalysis:
         raise ValueError("surface oracles returned non-finite samples")
 
     return SurfaceAnalysis(
-        spec=spec, u=u, s=s, s_star=s_star, sigma=sigma, c=c, e=e, t=t, g=g,
+        u=u, s=s, s_star=s_star, sigma=sigma, c=c, e=e, t=t, g=g,
         Delta=Delta, delta=delta, gamma=gamma, gamma_dual=gamma_dual,
         reparam=Reparametrization(u, s, sigma),
         e_u=e_u, e_uu=e_uu, c_u=c_u)
 
 
 def dual_invariants(analysis: SurfaceAnalysis) -> DualCurvatureInvariants:
-    """Dual curvature 1/sqrt(1 + gamma_bar^2) and the matching spherical
-    radius of curvature, computed with exact dual arithmetic per sample."""
+    """Dual curvature R = 1/sqrt(1 + gamma_bar^2) = sin(rho), cos(rho) =
+    gamma_bar R and the spherical radius rho, in exact dual arithmetic."""
     gb = analysis.gamma_bar()
     R = dual_div(DualScalar(1.0, 0.0), dual_sqrt(gb * gb + 1.0))
     cos_rho = gb * R
-    sin_rho = R
-    rho = np.arctan2(sin_rho.real, cos_rho.real)
-    # cos^2 + sin^2 = 1 as a dual identity, so the atan2 pushforward is exact
-    rho_star = np.cos(rho) * sin_rho.dual - np.sin(rho) * cos_rho.dual
-
-    return DualCurvatureInvariants(R=R, rho=DualScalar(rho, rho_star),
+    return DualCurvatureInvariants(R=R, rho=dual_atan2(R, cos_rho),
                                    cos_rho=cos_rho)
 
 
@@ -685,8 +679,8 @@ def frame_ode_residual(analysis: SurfaceAnalysis) -> FrameOdeResiduals:
     dg/ds = -gamma*t and its dual counterpart (derivatives taken with
     respect to the dual arc length).
 
-    Frame derivatives are formed the same way the pipeline formed the
-    frame: from analytic oracles when the spec has them, from grid
+    Frame derivatives come from the oracles when the analysis holds c_u
+    (analyze holds it exactly when all four were given), from grid
     differences otherwise.  END_TRIM samples at each end are excluded.
     The real row de/ds = t is not formed: `analyze` defines t as e_u/sigma,
     so its defect is 0 by construction, and real_max comes from the t and
@@ -752,7 +746,7 @@ def _frame_ode_block(a: SurfaceAnalysis, sl: slice):
         np.multiply(1.0 / sigma, out, out=out)
         out += np.multiply(inv_dual, vec_u, out=scratch)
 
-    analytic = a.spec.has_analytic_frame
+    analytic = a.c_u is not None
     if analytic:
         e_u, e_uu = a.derivative("e_u", sl), a.derivative("e_uu", sl)
         x = np.multiply(e_u, e_uu)

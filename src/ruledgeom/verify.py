@@ -16,7 +16,7 @@ import numpy as np
 
 from . import catalog
 from .config import Tolerances
-from .dual import (DualScalar, dot3, dual_angle, dual_cos, dual_cross,
+from .dual import (DualScalar, cross3, dot3, dual_angle, dual_cos, dual_cross,
                    dual_div, dual_dot, dual_mul, dual_norm, dual_normalize,
                    dual_sin, lift, max_abs, norm3)
 from .lines import (common_perpendicular, dual_to_line, line_to_dual,
@@ -261,7 +261,7 @@ def suite_developability(tol, seed, analyses) -> list[Check]:
 def _pipeline_checks(label: str, a, tol: Tolerances,
                      ode_tol: float) -> list[Check]:
     trim = slice(END_TRIM, a.n - END_TRIM)
-    e_tilde, t_tilde, _ = a.dual_frame()
+    e_tilde = DualScalar(a.e, cross3(a.c, a.e))
     ee = dual_dot(e_tilde, e_tilde)
     unit_dev = max_abs(ee.real - 1.0, ee.dual)
 
@@ -312,7 +312,7 @@ def suite_pipeline(tol, seed, analyses) -> list[Check]:
                                     tol.frame_ode_analytic))
 
     base = analyses[SADDLE]
-    saddle = base.spec
+    saddle = getattr(catalog, SADDLE[0])(*SADDLE[1:])
     sampled = SurfaceSpec(director=saddle.director, base=saddle.base,
                           param_range=saddle.param_range,
                           sample_count=saddle.sample_count,

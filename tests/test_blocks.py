@@ -113,7 +113,7 @@ def ref_frame_ode(a) -> tuple:
     h = float(a.u[1] - a.u[0])
     e_u, e_uu, c_u, e_star, t_star, g_star = (
         whole(a, name) for name in DERIVATIVES + MOMENTS)
-    if a.spec.has_analytic_frame:
+    if a.c_u is not None:   # held exactly when every oracle is given
         sig_u = dot3(e_u, e_uu) / a.sigma
         t_u = e_uu / a.sigma - e_u * (sig_u / (a.sigma ** 2))
         g_u = cross3(e_u, a.t) + cross3(a.e, t_u)

@@ -398,6 +398,18 @@ def test_mesh_grid_counts(tmp_path):
     assert max(max(f) for f in faces) == len(verts)
 
 
+@pytest.mark.parametrize("low, high", [("2", "2"), ("1", "-1")])
+def test_v_range_must_increase(tmp_path, capsys, low, high):
+    """An empty v-range puts a ruling's vertices at one point (zero-area
+    faces) and a reversed one winds the faces against phi_u x phi_v: both
+    exit 1 before any output."""
+    cfg = write_config(tmp_path / "cfg.json", sample_count=101)
+    assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--v-range", low, high]) == 1
+    assert capsys.readouterr().err == "error: --v-range must satisfy A < B\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("plain, written", [
     ("-0.1", "-1e-1"), ("-0.1", "-1.e-1"), ("-0.1", "-0.01E1"), ("-5", "-5.")])
 def test_v_range_reads_negative_numbers_in_any_float_form(tmp_path, plain,
@@ -446,7 +458,7 @@ def test_offset_mesh_is_translated(tmp_path):
     assert np.max(np.abs((off - base) - np.array([-4.0, -4.0, 0.0]))) < 1e-9
 
 
-def test_mesh_and_the_offset_re_analysis_fit_no_spline(tmp_path):
+def test_mesh_and_the_offset_re_analysis_fit_no_spline(tmp_path, monkeypatch):
     # the README config: a theorem-consistent and a constant-angle offset
     cfg = write_config(
         tmp_path / "cfg.json", surface={"builtin": "cone", "alpha": np.pi / 4},
@@ -458,10 +470,13 @@ def test_mesh_and_the_offset_re_analysis_fit_no_spline(tmp_path):
                  "--v-count", "3"]) == 0
     a = analyze(catalog.cone(np.pi / 4, (0.0, 2.5 / np.sin(np.pi / 4)),
                              2001))
-    rep = offsets.verify_offset(a, offsets.OffsetSpec.theorem(2.8, 0.7))
+    specs = []   # the spec of the offset's re-analysis
+    monkeypatch.setattr(offsets, "analyze",
+                        lambda spec: specs.append(spec) or analyze(spec))
+    offsets.verify_offset(a, offsets.OffsetSpec.theorem(2.8, 0.7))
     # the re-analysis reads its splines at the grid only: they are
     # grid-bound, and no module of the package can fit one
-    spec = rep.offset_analysis.spec
+    spec, = specs
     with pytest.raises(ValueError, match="sample grid"):
         spec.director(0.5 * (a.u[1:] + a.u[:-1]))
     assert spec.base(a.u).shape == (2001, 3)

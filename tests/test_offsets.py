@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
@@ -18,7 +19,7 @@ from ruledgeom.io import render_offset_report
 from ruledgeom.offsets import (SIN_MIN, OffsetSpec, construct_offset,
                                flattening_profile, offset_angle,
                                predicted_invariants, verify_offset)
-from ruledgeom.surface import Measurement, analyze
+from ruledgeom.surface import Measurement, analyze, sampled_surface
 
 SQ2 = np.sqrt(2.0)
 
@@ -405,6 +406,51 @@ def test_no_array_of_an_analysis_or_offset_report_is_writable():
     assert [path for path, x in found.items() if x.flags.writeable] == []
     with pytest.raises(ValueError, match="read-only"):
         a.reparam.s[0] = 1.0
+
+
+def _leaves(obj, path):
+    """(path, value) of every value reachable from obj through the fields
+    of ruledgeom objects and tuples, other than those objects and tuples."""
+    if isinstance(obj, tuple):
+        for i, x in enumerate(obj):
+            yield from _leaves(x, f"{path}[{i}]")
+    elif type(obj).__module__.startswith("ruledgeom."):
+        for name, x in vars(obj).items():
+            yield from _leaves(x, f"{path}.{name}")
+    else:
+        yield path, obj
+
+
+def _catalog_and_sampled_results():
+    """The analyses of a catalog cone and of the sampled surface through
+    its samples, and each one's invariants() and theorem offset report."""
+    a = cone_analysis()
+    b = analyze(sampled_surface(a.u, a.e.T, a.c.T))
+    spec = OffsetSpec.theorem(2.8, 0.7)
+    return tuple(x for y in (a, b)
+                 for x in (y, y.invariants(), verify_offset(y, spec)))
+
+
+def test_no_function_is_reachable_from_an_analysis_or_offset_report():
+    found = dict(_leaves(_catalog_and_sampled_results(), "results"))
+    assert {"results[0].reparam.s", "results[3].e",
+            "results[5].offset_analysis.gamma",
+            "results[2].rows[0].deviation"} <= set(found)
+    assert [path for path, x in found.items() if callable(x)] == []
+
+
+def test_analyses_and_offset_reports_pickle_bit_for_bit():
+    results = _catalog_and_sampled_results()
+    want = dict(_leaves(results, "results"))
+    got = dict(_leaves(pickle.loads(pickle.dumps(results)), "results"))
+    assert got.keys() == want.keys()
+    assert sum(isinstance(x, np.ndarray) for x in want.values()) > 50
+    for path, x in want.items():
+        if isinstance(x, np.ndarray):
+            assert (got[path].dtype, got[path].shape, got[path].tobytes()) \
+                == (x.dtype, x.shape, x.tobytes()), path
+        else:
+            assert repr(got[path]) == repr(x), path
 
 
 # --- measured defects (ROADMAP items 2, 3 and 11) ---
